@@ -2,15 +2,16 @@
 // the same (or an equivalent) set-expression query again and again over a
 // bank, comparing
 //   cold_direct        direct EstimateSetExpression per query (no planner),
-//   cold_replan        a fresh PlanCache per query (compile + merge + eval),
+//   cold_replan        a fresh PlanCache per query (compile + evaluate
+//                      lazily over the live bank; nothing is merged),
 //   hot_hit            one PlanCache, identical query text every time,
 //   equivalent_hit     one PlanCache, alternating commuted spellings,
 //   invalidate_requery one update between queries (epoch invalidation
-//                      forces a re-merge, the plan itself is reused),
+//                      forces a re-evaluation, the plan itself is reused),
 //   served_hot         the full loopback server QUERY path, hot cache,
 // and printing the server's plan_cache_* STATS counters afterwards. The
 // headline claim — repeated identical/equivalent queries run >= 5x faster
-// than the cold re-merge path — is asserted here, not just reported.
+// than the cold evaluation path — is asserted here, not just reported.
 //
 // Emits a JSON perf trajectory (BENCH_plan_cache.json, or the path in
 // SETSKETCH_BENCH_JSON) validated by tools/validate_bench_json.py.
@@ -74,8 +75,8 @@ int main() {
       std::max<int64_t>(20, static_cast<int64_t>(200 * scale));
 
   // The paper's three-stream expression workload over a moderately dense
-  // bank: big enough that the stage-1 merge over all streams dominates
-  // the cold path.
+  // bank: big enough that the stage-1 scan over all streams dominates the
+  // cold path.
   constexpr int kCopies = 128;
   const std::string query_text = "(A - B) & C";
   const std::string equivalent_text = "C & (A - B)";
@@ -136,7 +137,7 @@ int main() {
     }
   }
 
-  // --- cold_replan: compile + merge + evaluate from scratch each time. --
+  // --- cold_replan: compile + evaluate from scratch each time. ----------
   {
     Stopwatch watch;
     for (int64_t i = 0; i < cold_queries; ++i) {

@@ -6,8 +6,6 @@
 
 namespace setsketch {
 
-UnionView::~UnionView() = default;
-
 GroupUnionView::GroupUnionView(const std::vector<SketchGroup>& groups,
                                bool pairwise)
     : groups_(groups), pairwise_(pairwise) {}
@@ -30,69 +28,7 @@ bool GroupUnionView::UnionSingleton(int copy, int level) const {
   return UnionSingletonBucket(group, level);
 }
 
-size_t MergedUnion::CounterBytes() const {
-  size_t total = 0;
-  for (const TwoLevelHashSketch& sketch : merged) {
-    total += sketch.CounterBytes();
-  }
-  for (const std::vector<unsigned char>& bits : nonempty) {
-    total += bits.size();
-  }
-  return total;
-}
-
-MergedUnion MergeUnionGroups(const std::vector<SketchGroup>& groups) {
-  MergedUnion out;
-  if (groups.empty() || groups[0].empty()) return out;
-  const int levels = groups[0][0]->levels();
-  out.merged.reserve(groups.size());
-  out.nonempty.resize(groups.size());
-  for (size_t i = 0; i < groups.size(); ++i) {
-    const SketchGroup& group = groups[i];
-    if (!GroupSeedsMatch(group)) return MergedUnion{};
-    TwoLevelHashSketch merged = *group[0];
-    for (size_t k = 1; k < group.size(); ++k) {
-      if (!merged.Merge(*group[k])) return MergedUnion{};
-    }
-    // Capture the lazy per-group occupancy bit at merge time: identical to
-    // what GroupUnionView::NonEmpty would answer, for every input (the
-    // summed LevelTotal could differ under adversarial negative counters,
-    // the OR of per-stream occupancies cannot).
-    std::vector<unsigned char>& bits = out.nonempty[i];
-    bits.resize(static_cast<size_t>(levels));
-    for (int level = 0; level < levels; ++level) {
-      bits[static_cast<size_t>(level)] =
-          UnionBucketEmpty(group, level) ? 0 : 1;
-    }
-    out.merged.push_back(std::move(merged));
-  }
-  out.ok = true;
-  return out;
-}
-
-MergedUnionView::MergedUnionView(const MergedUnion& merged)
-    : merged_(merged) {}
-
-int MergedUnionView::copies() const {
-  return static_cast<int>(merged_.merged.size());
-}
-
-int MergedUnionView::levels() const {
-  return merged_.merged.empty() ? 0 : merged_.merged[0].levels();
-}
-
-bool MergedUnionView::NonEmpty(int copy, int level) const {
-  return merged_.nonempty[static_cast<size_t>(copy)]
-                         [static_cast<size_t>(level)] != 0;
-}
-
-bool MergedUnionView::UnionSingleton(int copy, int level) const {
-  // The merged sketch's counters are the exact sums of the group's, so the
-  // unary singleton check here equals UnionSingletonBucket on the group.
-  return SingletonBucket(merged_.merged[static_cast<size_t>(copy)], level);
-}
-
-UnionEstimate KernelEstimateUnion(const UnionView& view, double epsilon,
+UnionEstimate KernelEstimateUnion(const GroupUnionView& view, double epsilon,
                                   bool mle) {
   UnionEstimate result;
   const int r = view.copies();
@@ -197,7 +133,7 @@ UnionEstimate KernelEstimateUnion(const UnionView& view, double epsilon,
   return result;
 }
 
-WitnessEstimate KernelCountWitnesses(const UnionView& view,
+WitnessEstimate KernelCountWitnesses(const GroupUnionView& view,
                                      const WitnessPredicate& witness,
                                      double union_estimate,
                                      const WitnessOptions& options) {

@@ -7,22 +7,19 @@
 //   * occupancy   — is the union bucket non-empty?   (stage 1, Figure 5)
 //   * singleton   — is the union bucket a singleton?  (stage 2, Figures
 //                   6/7 and Section 4's witness sampling)
-// UnionView abstracts those two probes; KernelEstimateUnion and
+// GroupUnionView answers those two probes; KernelEstimateUnion and
 // KernelCountWitnesses implement the scan loops (threshold scan /
 // all-levels MLE, and strict / pooled witness counting) exactly once. The
 // per-operation estimators — union, MLE union, difference, intersection,
 // Jaccard, inclusion-exclusion and general expressions — are thin
-// strategies that validate their inputs, pick a view, and supply a witness
+// strategies that validate their inputs, build the view, and supply a witness
 // predicate.
 //
-// Two view implementations exist:
-//   * GroupUnionView — lazy sums over aligned SketchGroups, no
-//     materialization; this is the classic direct-estimation path.
-//   * MergedUnionView — over a MergedUnion artifact: per-copy merged
-//     sketches (counter sums, exact by linearity) plus per-copy/level
-//     occupancy bits captured at merge time. Both probes are bit-identical
-//     to GroupUnionView over the same groups; query/plan_cache.h memoizes
-//     MergedUnion so repeated queries skip the per-stream scans.
+// The view probes aligned SketchGroups lazily, with nothing
+// materialized. Direct estimation and the plan cache (query/plan_cache.h)
+// both run it straight over a bank's live sketches: a probe reads only
+// the streams' bucket state, so there is no merged union worth building
+// or keeping.
 
 #ifndef SETSKETCH_CORE_ESTIMATOR_KERNEL_H_
 #define SETSKETCH_CORE_ESTIMATOR_KERNEL_H_
@@ -38,72 +35,31 @@
 namespace setsketch {
 
 /// Read-only occupancy/singleton oracle over the r x levels bucket matrix
-/// of the union of a set of streams.
-class UnionView {
- public:
-  virtual ~UnionView();
-
-  /// Independent sketch copies r.
-  virtual int copies() const = 0;
-  /// First-level buckets per copy.
-  virtual int levels() const = 0;
-  /// True iff copy's union bucket at `level` is non-empty (the negation
-  /// of UnionBucketEmpty over the underlying group).
-  virtual bool NonEmpty(int copy, int level) const = 0;
-  /// True iff copy's union bucket at `level` holds a single distinct
-  /// element (UnionSingletonBucket over the underlying group).
-  virtual bool UnionSingleton(int copy, int level) const = 0;
-};
-
-/// Lazy view over r aligned SketchGroups. With `pairwise` set (groups of
-/// exactly two sketches), the singleton probe uses the paper's case-based
-/// two-sketch SingletonUnionBucket — the binary estimators' historical
-/// check — instead of the n-ary summed-counter check; the two agree
-/// whenever per-stream net frequencies are nonnegative.
-class GroupUnionView final : public UnionView {
+/// of the union of r aligned SketchGroups, probed lazily (nothing is
+/// merged or materialized). With `pairwise` set (groups of exactly two
+/// sketches), the singleton probe uses the paper's case-based two-sketch
+/// SingletonUnionBucket — the binary estimators' historical check —
+/// instead of the n-ary summed-counter check; the two agree whenever
+/// per-stream net frequencies are nonnegative.
+class GroupUnionView {
  public:
   explicit GroupUnionView(const std::vector<SketchGroup>& groups,
                           bool pairwise = false);
 
-  int copies() const override;
-  int levels() const override;
-  bool NonEmpty(int copy, int level) const override;
-  bool UnionSingleton(int copy, int level) const override;
+  /// Independent sketch copies r.
+  int copies() const;
+  /// First-level buckets per copy.
+  int levels() const;
+  /// True iff copy's union bucket at `level` is non-empty (the negation
+  /// of UnionBucketEmpty over the group).
+  bool NonEmpty(int copy, int level) const;
+  /// True iff copy's union bucket at `level` holds a single distinct
+  /// element (UnionSingletonBucket over the group).
+  bool UnionSingleton(int copy, int level) const;
 
  private:
   const std::vector<SketchGroup>& groups_;
   bool pairwise_;
-};
-
-/// Materialized union of r aligned SketchGroups: per-copy merged sketches
-/// (exact counter sums) plus the per-copy/level occupancy bits evaluated
-/// at merge time. The memoizable artifact behind MergedUnionView.
-struct MergedUnion {
-  std::vector<TwoLevelHashSketch> merged;           ///< One per copy.
-  std::vector<std::vector<unsigned char>> nonempty; ///< [copy][level].
-  bool ok = false;
-
-  /// Bytes of counter + occupancy state (plan-cache memory accounting).
-  size_t CounterBytes() const;
-};
-
-/// Merges each group's sketches into one per-copy union sketch. Fails
-/// (ok = false) on empty input or mismatched seeds.
-MergedUnion MergeUnionGroups(const std::vector<SketchGroup>& groups);
-
-/// View over a completed MergedUnion. Probes are O(1)/O(s) on the merged
-/// state instead of O(streams)/O(streams * s) on the group.
-class MergedUnionView final : public UnionView {
- public:
-  explicit MergedUnionView(const MergedUnion& merged);
-
-  int copies() const override;
-  int levels() const override;
-  bool NonEmpty(int copy, int level) const override;
-  bool UnionSingleton(int copy, int level) const override;
-
- private:
-  const MergedUnion& merged_;
 };
 
 /// Stage 1: the Figure 5 union-cardinality estimate over a view (threshold
@@ -111,7 +67,7 @@ class MergedUnionView final : public UnionView {
 /// all-levels maximum-likelihood extension (`mle`). Equivalent to
 /// EstimateSetUnion / EstimateSetUnionMle modulo input validation, which
 /// stays with the calling strategy.
-UnionEstimate KernelEstimateUnion(const UnionView& view, double epsilon,
+UnionEstimate KernelEstimateUnion(const GroupUnionView& view, double epsilon,
                                   bool mle);
 
 /// Stage 2 witness predicate: given (copy, level) of a union-singleton
@@ -123,7 +79,7 @@ using WitnessPredicate = std::function<bool(int copy, int level)>;
 /// per union-singleton bucket anywhere (options.pool_all_levels). The
 /// shared loop of the difference / intersection / Jaccard / expression
 /// strategies.
-WitnessEstimate KernelCountWitnesses(const UnionView& view,
+WitnessEstimate KernelCountWitnesses(const GroupUnionView& view,
                                      const WitnessPredicate& witness,
                                      double union_estimate,
                                      const WitnessOptions& options);

@@ -23,7 +23,7 @@ bool ValidateGroups(const std::vector<SketchGroup>& groups,
 }  // namespace
 
 ExpressionEstimate EstimateExpressionWithKernel(
-    const UnionView& view, const WitnessPredicate& witness,
+    const GroupUnionView& view, const WitnessPredicate& witness,
     const WitnessOptions& options) {
   ExpressionEstimate result;
   if (options.beta <= 1.0 || options.epsilon <= 0 || options.epsilon >= 1) {

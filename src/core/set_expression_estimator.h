@@ -49,14 +49,14 @@ ExpressionEstimate EstimateSetExpression(
     const Expression& expr, const SketchBank& bank,
     const WitnessOptions& options = {});
 
-/// The expression strategy over an abstract kernel view: stage-1 union
-/// estimate from `view`, stage-2 witness counting with `witness`. This is
-/// the engine both EstimateSetExpression and the plan cache's compiled
-/// plans run on — given bit-identical views and predicates it produces
-/// bit-identical estimates. Callers validate their own inputs; the witness
-/// predicate is only consulted at union-singleton buckets.
+/// The expression strategy over a kernel view: stage-1 union estimate
+/// from `view`, stage-2 witness counting with `witness`. This is the
+/// engine both EstimateSetExpression and the plan cache's compiled plans
+/// run on — given the same groups and bit-identical predicates it
+/// produces bit-identical estimates. Callers validate their own inputs;
+/// the witness predicate is only consulted at union-singleton buckets.
 ExpressionEstimate EstimateExpressionWithKernel(
-    const UnionView& view, const WitnessPredicate& witness,
+    const GroupUnionView& view, const WitnessPredicate& witness,
     const WitnessOptions& options);
 
 }  // namespace setsketch

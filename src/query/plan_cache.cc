@@ -6,6 +6,7 @@
 
 #include "expr/analysis.h"
 #include "expr/parser.h"
+#include "util/check.h"
 
 namespace setsketch {
 
@@ -177,103 +178,6 @@ PlanCache::Result PlanCache::Query(const Expression& expr,
   return EvaluateLocked(entry, groups, bank.bank_id(), std::move(epochs));
 }
 
-bool PlanCache::BeginQuery(const Expression& expr, const SketchBank& bank,
-                           Result* hit, SnapshotRequest* request) {
-  if (UsesBackendStreams(expr, bank)) {
-    // Backend-routed queries evaluate inline: the synopsis is a few KB
-    // and the algebra is O(sample), so there is no cold merge worth
-    // moving outside the caller's ingest locks.
-    *hit = BackendQuery(expr, bank);
-    return true;
-  }
-  CanonicalPlan plan = Canonicalize(expr);
-  std::string canonical = plan.ToString();
-  if (ProvablyEmpty(expr)) {
-    *hit = ExactEmptyResult(std::move(canonical));
-    return true;
-  }
-
-  MutexLock lock(&mutex_);
-  Entry* entry = FindOrCompileLocked(plan, canonical);
-  if (entry != nullptr) {
-    if (FreshLocked(*entry, bank)) {
-      ++stats_.hits;
-      *hit = entry->result;
-      hit->cache_hit = true;
-      return true;
-    }
-    if (entry->result_built) {
-      ++stats_.invalidations;
-    } else {
-      ++stats_.misses;
-    }
-    request->streams = entry->streams;
-  } else {
-    // Structural-hash collision: FinishQuery will answer from a scratch
-    // entry; the caller still snapshots the plan's streams.
-    ++stats_.misses;
-    request->streams = plan.streams;
-  }
-  request->bank_id = bank.bank_id();
-  request->epochs.assign(request->streams.size(), 0);
-  for (size_t k = 0; k < request->streams.size(); ++k) {
-    request->epochs[k] = bank.StreamEpoch(request->streams[k]);
-  }
-  return false;
-}
-
-PlanCache::Result PlanCache::FinishQuery(
-    const Expression& expr, const SnapshotRequest& request,
-    const std::vector<std::vector<TwoLevelHashSketch>>& sketches) {
-  CanonicalPlan plan = Canonicalize(expr);
-  std::string canonical = plan.ToString();
-
-  // Per-copy groups over the snapshot: sketches[k] is the copy column of
-  // request.streams[k], so groups[i][k] is copy i of stream k.
-  const size_t copies = sketches.empty() ? 0 : sketches[0].size();
-  std::vector<SketchGroup> groups(copies);
-  for (size_t i = 0; i < copies; ++i) {
-    groups[i].reserve(sketches.size());
-    for (size_t k = 0; k < sketches.size(); ++k) {
-      groups[i].push_back(&sketches[k][i]);
-    }
-  }
-
-  MutexLock lock(&mutex_);
-  // The entry may have been evicted (or evaluated by a concurrent
-  // FinishQuery) between the two phases; re-resolve it.
-  Entry* entry = FindOrCompileLocked(plan, canonical);
-  if (entry != nullptr && entry->result_built &&
-      entry->bank_id == request.bank_id &&
-      entry->epochs.size() == request.epochs.size()) {
-    if (entry->epochs == request.epochs) {
-      // A concurrent FinishQuery already landed this snapshot's answer.
-      Result result = entry->result;
-      result.cache_hit = true;
-      return result;
-    }
-    for (size_t k = 0; k < request.epochs.size(); ++k) {
-      if (entry->epochs[k] > request.epochs[k]) {
-        // The installed memo is for newer epochs than this snapshot
-        // (epochs are monotonic): answer the snapshot without regressing
-        // the entry to older state.
-        entry = nullptr;
-        break;
-      }
-    }
-  }
-  Entry scratch_entry;
-  if (entry == nullptr) {
-    // Hash collision, or a newer-epoch memo to preserve: evaluate on a
-    // scratch entry without touching the cache.
-    scratch_entry.plan = std::move(plan);
-    scratch_entry.canonical = std::move(canonical);
-    scratch_entry.streams = scratch_entry.plan.streams;
-    entry = &scratch_entry;
-  }
-  return EvaluateLocked(entry, groups, request.bank_id, request.epochs);
-}
-
 bool PlanCache::FreshLocked(const Entry& entry,
                             const SketchBank& bank) const {
   if (!entry.result_built || entry.bank_id != bank.bank_id()) return false;
@@ -329,25 +233,18 @@ PlanCache::Result PlanCache::EvaluateLocked(
   // another bank are meaningless here, and bank ids are process-unique.
   if (entry->bank_id != bank_id) {
     entry->bank_id = bank_id;
-    entry->union_built = false;
     for (SubUnionMemo& memo : entry->sub_memos) memo.built = false;
     entry->result_built = false;
   }
 
-  // Stage-1 memo: the full-union merge feeding occupancy + singleton
-  // probes. Rebuilt only if any participating stream's epoch moved.
-  const bool union_stale =
-      !entry->union_built || entry->epochs != epochs;
-  if (union_stale) {
-    entry->union_memo = MergeUnionGroups(groups);
-    entry->union_built = entry->union_memo.ok;
-    ++stats_.merge_builds;
-    if (!entry->union_memo.ok) {
-      result.error = "sketch merge failed (mismatched seeds)";
-      entry->result_built = false;
-      return result;
-    }
-  }
+  // Stage 1 probes the live groups lazily; nothing is copied or merged.
+  // The bank pins every stream's copy i to family seed i, so each group
+  // shares its hash functions. merge_builds counts one stage-1 union per
+  // cold evaluation plus one per sub-union memo rebuilt below.
+  SETSKETCH_DCHECK(std::all_of(groups.begin(), groups.end(),
+                               GroupSeedsMatch))
+      << "plan streams on mismatched sketch seeds";
+  ++stats_.merge_builds;
 
   // Sub-expression memos: each tracks only its own streams, so ingest into
   // stream X leaves the memo for "B | C" intact.
@@ -448,7 +345,7 @@ PlanCache::Result PlanCache::EvaluateLocked(
     return scratch[static_cast<size_t>(plan.root)] != 0;
   };
 
-  const MergedUnionView view(entry->union_memo);
+  const GroupUnionView view(groups);
   result.detail = EstimateExpressionWithKernel(view, witness,
                                                options_.witness);
   result.ok = result.detail.ok;
@@ -590,7 +487,6 @@ PlanCache::Stats PlanCache::stats() const {
   stats.memo_bytes = 0;
   for (const auto& [key, entry] : entries_) {
     (void)key;
-    if (entry.union_built) stats.memo_bytes += entry.union_memo.CounterBytes();
     for (const SubUnionMemo& memo : entry.sub_memos) {
       for (const std::vector<unsigned char>& row : memo.nonempty) {
         stats.memo_bytes += row.size();

@@ -5,31 +5,29 @@
 // cached plan keyed by its structural hash, so "A | (B & C)" and
 // "(C & B) | A" share one entry. A plan holds
 //   * the canonical DAG plus a reusable scratch arena for witness
-//     evaluation,
-//   * the memoized stage-1 union merge (per-copy merged sketches and
-//     occupancy bits over all participating streams), and
+//     evaluation, and
 //   * per-sub-expression occupancy memos for leaf-only union nodes, each
 //     tracking only its own streams' epochs,
 // together with the fully memoized answer. Validity is governed by
 // SketchBank's per-stream ingest epochs plus its process-unique bank id:
 // a repeated query over an unchanged bank is answered from the memo with
-// no sketch access at all; after ingest, only the merges whose streams
-// actually changed are rebuilt. A recovered / reloaded bank always carries
-// a fresh bank id, so stale plans can never answer for it.
+// no sketch access at all. A cold or stale plan is evaluated in one pass
+// straight over the bank's live sketches: stage 1 (Figure 5 union) and
+// the witness singleton probes read the streams' buckets lazily through
+// GroupUnionView, and only the sub-union memos whose streams changed are
+// rebuilt. No sketch is copied or merged. A recovered / reloaded bank
+// always carries a fresh bank id, so stale plans can never answer for it.
 //
 // Planned evaluation is bit-identical to direct EstimateSetExpression over
-// the same bank: the merged view's occupancy and singleton probes equal
-// the lazy group probes by counter linearity, and canonicalization
-// preserves the Boolean witness function pointwise
+// the same bank: both run the same view over the same groups, and
+// canonicalization preserves the Boolean witness function pointwise
 // (tests/plan_cache_test.cc asserts exact equality, including through
 // ingest -> invalidation -> re-query cycles).
 //
 // Thread safety: all public methods are serialized on an internal mutex,
 // but the caller must keep `bank` quiescent (no concurrent mutation) for
 // the duration of any call that takes one — the server holds its ingest
-// locks, the engine is externally synchronized. FinishQuery takes no
-// bank (only caller-owned sketch copies), so cold evaluation can run
-// after the caller released its ingest locks; see BeginQuery.
+// locks, the engine is externally synchronized.
 
 #ifndef SETSKETCH_QUERY_PLAN_CACHE_H_
 #define SETSKETCH_QUERY_PLAN_CACHE_H_
@@ -66,11 +64,13 @@ class PlanCache {
     uint64_t invalidations = 0;  ///< Cached plan, stale epochs: re-evaluate.
     uint64_t compiles = 0;       ///< Canonical plans built.
     uint64_t evictions = 0;      ///< LRU evictions.
-    uint64_t merge_builds = 0;   ///< Union-merge memos (re)built.
+    /// Cold stage-1 evaluations plus sub-union memo rebuilds.
+    uint64_t merge_builds = 0;
     uint64_t bypasses = 0;       ///< EstimateUncached calls.
     uint64_t backend_queries = 0;  ///< Routed to an alternative backend.
     uint64_t entries = 0;        ///< Current cached plans.
-    uint64_t memo_bytes = 0;     ///< Bytes held by memoized merges.
+    /// Bytes held by sub-union occupancy memos and scratch arenas.
+    uint64_t memo_bytes = 0;
   };
 
   /// Outcome of a planned query.
@@ -92,38 +92,6 @@ class PlanCache {
 
   /// Parses `text` first; parse failures surface in Result::error.
   Result Query(const std::string& text, const SketchBank& bank);
-
-  /// A BeginQuery miss: everything FinishQuery needs to evaluate on a
-  /// caller-taken snapshot — the plan's stream list (canonical, sorted
-  /// order), the bank identity, and the per-stream epochs at snapshot
-  /// time.
-  struct SnapshotRequest {
-    std::vector<std::string> streams;
-    uint64_t bank_id = 0;
-    std::vector<uint64_t> epochs;
-  };
-
-  /// Two-phase query for callers that must not run a cold evaluation
-  /// while holding their ingest locks (the server: a burst of cold
-  /// expressions would otherwise stall PUSH admission for the duration
-  /// of each merge + estimate).
-  ///
-  /// BeginQuery runs under the caller's quiesced locks and is cheap: on
-  /// a fresh memoized result it fills *hit and returns true; otherwise
-  /// it fills *request and returns false, and the caller copies the
-  /// requested streams' sketches out (still under its locks), releases
-  /// them, and calls FinishQuery with the copies (sketches[k] = the
-  /// per-copy column of request->streams[k]). FinishQuery evaluates on
-  /// the snapshot, reusing/rebuilding the plan's memoized merges, and
-  /// installs the result under the snapshot's epochs — unless a
-  /// concurrent FinishQuery already installed a result under newer
-  /// epochs, in which case the snapshot's (still point-in-time-correct)
-  /// answer is returned without regressing the newer memo.
-  bool BeginQuery(const Expression& expr, const SketchBank& bank,
-                  Result* hit, SnapshotRequest* request);
-  Result FinishQuery(
-      const Expression& expr, const SnapshotRequest& request,
-      const std::vector<std::vector<TwoLevelHashSketch>>& sketches);
 
   /// Direct (uncached) estimation for callers whose sketch groups are not
   /// a plain bank view — e.g. the server's coordinator-merged snapshot.
@@ -161,9 +129,7 @@ class PlanCache {
     std::vector<std::string> streams; ///< == plan.streams (sorted).
 
     uint64_t bank_id = 0;             ///< Bank the memos below belong to.
-    std::vector<uint64_t> epochs;     ///< Stage-1/result epochs per stream.
-    MergedUnion union_memo;           ///< Stage-1 merge over all streams.
-    bool union_built = false;
+    std::vector<uint64_t> epochs;     ///< Result epochs per stream.
     std::vector<SubUnionMemo> sub_memos;
 
     Result result;                    ///< Memoized full answer.
@@ -190,9 +156,9 @@ class PlanCache {
   /// (bank_id, epochs).
   bool FreshLocked(const Entry& entry, const SketchBank& bank) const
       SETSKETCH_REQUIRES(mutex_);
-  /// Evaluates the entry's plan over `groups` (per-copy columns aligned
-  /// with entry->streams) and installs the memoized result keyed by
-  /// (bank_id, epochs).
+  /// Evaluates the entry's plan over `groups` (the bank's live per-copy
+  /// columns, aligned with entry->streams) and installs the memoized
+  /// result keyed by (bank_id, epochs).
   Result EvaluateLocked(Entry* entry, const std::vector<SketchGroup>& groups,
                         uint64_t bank_id, std::vector<uint64_t> epochs)
       SETSKETCH_REQUIRES(mutex_);

@@ -977,12 +977,14 @@ QueryResultInfo SketchServer::Answer(const std::string& expression_text) {
   const std::vector<std::string> names = parsed.expression->StreamNames();
 
   // Queries whose streams live wholly in the direct-ingest bank run the
-  // compiled-plan path: the memoized-answer check is cheap and happens
-  // under the quiesced locks; a cold/stale plan only snapshots its
-  // streams' sketches there, and the (possibly slow) merge + estimation
-  // runs after the locks are released so it never stalls PUSH admission.
-  // Streams carried by site summaries need a coordinator-merged snapshot
-  // per query; those copy the combined view out and estimate uncached.
+  // compiled-plan path under the quiesced locks: a memoized answer is a
+  // lookup, and a cold/stale plan is evaluated in one pass straight over
+  // the bank's live sketches. Nothing is copied: the pass reads two facts
+  // per (copy, level), which costs less lock time than copying the
+  // plan's sketch columns out would (DESIGN.md section 3.3). Streams
+  // carried by site summaries need a coordinator-merged snapshot per
+  // query; those copy the combined view out and estimate uncached
+  // outside the locks.
   const auto fill = [&result](const PlanCache::Result& planned) {
     result.ok = planned.ok;
     result.estimate = planned.estimate;
@@ -996,8 +998,6 @@ QueryResultInfo SketchServer::Answer(const std::string& expression_text) {
     result.lo = planned.interval.lo;
     result.hi = planned.interval.hi;
   };
-  bool bank_only = false;
-  PlanCache::SnapshotRequest request;
   std::vector<std::vector<TwoLevelHashSketch>> combined;
   combined.reserve(names.size());
   {
@@ -1031,42 +1031,25 @@ QueryResultInfo SketchServer::Answer(const std::string& expression_text) {
       return result;
     }
     if (!any_summaries) {
-      PlanCache::Result hit;
-      if (plan_cache_.BeginQuery(*parsed.expression, bank_, &hit,
-                                 &request)) {
-        fill(hit);
-        return result;
-      }
-      // Cache miss or stale epochs: snapshot just the plan's streams
-      // (every name is in the bank here) and finish outside the locks.
-      bank_only = true;
-      for (const std::string& name : request.streams) {
-        combined.push_back(bank_.Sketches(name));
-      }
-    } else {
-      // Snapshot a combined view per stream: directly pushed counters
-      // plus site-summary counters merge by linearity. Copying under the
-      // quiesced locks keeps the (possibly slow) estimation outside
-      // them.
-      for (const std::string& name : names) {
-        const bool in_bank = bank_.HasStream(name);
-        const std::vector<TwoLevelHashSketch>* from_sites =
-            coordinator_.Sketches(name);
-        std::vector<TwoLevelHashSketch> sketches =
-            in_bank ? bank_.Sketches(name) : *from_sites;
-        if (in_bank && from_sites != nullptr) {
-          for (size_t i = 0; i < sketches.size(); ++i) {
-            sketches[i].Merge((*from_sites)[i]);
-          }
-        }
-        combined.push_back(std::move(sketches));
-      }
+      fill(plan_cache_.Query(*parsed.expression, bank_));
+      return result;
     }
-  }
-
-  if (bank_only) {
-    fill(plan_cache_.FinishQuery(*parsed.expression, request, combined));
-    return result;
+    // Snapshot a combined view per stream: directly pushed counters plus
+    // site-summary counters merge by linearity. Copying under the
+    // quiesced locks keeps the (possibly slow) estimation outside them.
+    for (const std::string& name : names) {
+      const bool in_bank = bank_.HasStream(name);
+      const std::vector<TwoLevelHashSketch>* from_sites =
+          coordinator_.Sketches(name);
+      std::vector<TwoLevelHashSketch> sketches =
+          in_bank ? bank_.Sketches(name) : *from_sites;
+      if (in_bank && from_sites != nullptr) {
+        for (size_t i = 0; i < sketches.size(); ++i) {
+          sketches[i].Merge((*from_sites)[i]);
+        }
+      }
+      combined.push_back(std::move(sketches));
+    }
   }
 
   const size_t copies = static_cast<size_t>(options_.copies);

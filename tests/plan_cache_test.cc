@@ -1,8 +1,9 @@
 // Tests for the plan cache (query/plan_cache.h): bit-identical equivalence
 // of planned + cached evaluation vs direct EstimateSetExpression (the
 // refactor's correctness bar), including through ingest -> epoch
-// invalidation -> re-query cycles; cache-hit semantics for equivalent
-// spellings; sub-expression memo granularity; LRU eviction; bank-identity
+// invalidation -> re-query cycles and cold re-answers after net-zero
+// writes; cache-hit semantics for equivalent spellings; sub-expression
+// memo granularity and memo size; LRU eviction; bank-identity
 // invalidation; and the engine-level wiring.
 
 #include <memory>
@@ -12,9 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/confidence.h"
 #include "core/set_expression_estimator.h"
 #include "core/sketch_bank.h"
 #include "expr/analysis.h"
+#include "expr/canonical.h"
 #include "expr/expression.h"
 #include "expr/parser.h"
 #include "query/plan_cache.h"
@@ -184,17 +187,17 @@ TEST(PlanCacheTest, IngestInvalidatesOnlyTouchedMemos) {
   const PlanCache::Result cold = cache.Query(*expr, *bank);
   ASSERT_TRUE(cold.ok) << cold.error;
   const uint64_t builds_cold = cache.stats().merge_builds;
-  EXPECT_GE(builds_cold, 2u);  // Full-union memo + (S0|S1) memo.
+  EXPECT_GE(builds_cold, 2u);  // Stage-1 union + (S0|S1) memo.
 
-  // Ingest into S2 only: the stage-1 full-union memo must rebuild, but
-  // the (S0 | S1) sub-memo's epochs are unchanged and it is reused.
+  // Ingest into S2 only: stage 1 re-runs, but the (S0 | S1) sub-memo's
+  // epochs are unchanged and it is reused.
   bank->Apply("S2", 987654321u, 1);
   ASSERT_TRUE(cache.Query(*expr, *bank).ok);
   const uint64_t builds_after_s2 = cache.stats().merge_builds;
   EXPECT_EQ(builds_after_s2, builds_cold + 1);
   EXPECT_EQ(cache.stats().invalidations, 1u);
 
-  // Ingest into S0: now both the full union and the sub-memo rebuild.
+  // Ingest into S0: now both stage 1 and the sub-memo rebuild.
   bank->Apply("S0", 123456789u, 1);
   ASSERT_TRUE(cache.Query(*expr, *bank).ok);
   EXPECT_EQ(cache.stats().merge_builds, builds_after_s2 + 2);
@@ -286,107 +289,94 @@ TEST(PlanCacheTest, ZeroCapacityClampsToOneUsableEntry) {
   EXPECT_TRUE(cache.Query("S0 & S1", *bank).cache_hit);
 }
 
-// --- Two-phase (snapshot) queries ----------------------------------------
+// --- Cold answers over the live bank -------------------------------------
 
-/// Copies the requested streams' sketch columns out of the bank — what the
-/// server does under its quiesced ingest locks between Begin and Finish.
-std::vector<std::vector<TwoLevelHashSketch>> SnapshotStreams(
-    const SketchBank& bank, const PlanCache::SnapshotRequest& request) {
-  std::vector<std::vector<TwoLevelHashSketch>> copies;
-  copies.reserve(request.streams.size());
-  for (const std::string& name : request.streams) {
-    copies.push_back(bank.Sketches(name));
+/// The served benchmark's expression shapes (e2ebench/workload.cc) over
+/// four streams; S0 and S1 appear in every one of them.
+const std::vector<std::string>& ServedShapes() {
+  static const std::vector<std::string> shapes = {
+      "S0 | S1",
+      "S0 | S1 | S2",
+      "S0 & S1",
+      "S0 - S1",
+      "(S0 - S1) & S2",
+      "(S0 | S1) & S2",
+      "((S0 | S1) & S2) | ((S0 | S1) - S3)",
+      "(S0 & S1) | (S2 - S3)",
+  };
+  return shapes;
+}
+
+/// Adds and removes one element: the stream's counters end where they
+/// started, but its epoch moves, so the next query over it is cold.
+void NetZeroWrite(SketchBank* bank, const std::string& stream,
+                  uint64_t element) {
+  bank->Apply(stream, element, 1);
+  bank->Apply(stream, element, -1);
+}
+
+TEST(PlanCacheTest, ColdAnswerAfterNetZeroWriteMatchesDirectBitForBit) {
+  VennPartitionGenerator gen(4, UniformRegionProbs(4));
+  const auto bank = BankFromDataset(gen.Generate(4096, 13), 64, 13);
+  for (const bool pooled : {false, true}) {
+    for (const bool mle : {false, true}) {
+      PlanCache::Options options;
+      options.witness.pool_all_levels = pooled;
+      options.witness.mle_union = mle;
+      PlanCache cache(options);
+      for (size_t i = 0; i < ServedShapes().size(); ++i) {
+        const std::string& text = ServedShapes()[i];
+        const std::string context = text + (pooled ? " pooled" : " strict") +
+                                    (mle ? " mle" : " fig5");
+        const ExprPtr expr = Parse(text);
+        const PlanCache::Result warm = cache.Query(*expr, *bank);
+        NetZeroWrite(bank.get(), i % 2 == 0 ? "S0" : "S1", 0xC01D + i);
+        const PlanCache::Result cold = cache.Query(*expr, *bank);
+        EXPECT_FALSE(cold.cache_hit) << context;
+
+        const ExpressionEstimate direct =
+            EstimateSetExpression(*expr, *bank, options.witness);
+        ExpectBitIdentical(cold, direct, context);
+        ASSERT_EQ(cold.ok, direct.ok) << context;
+        if (direct.ok) {
+          const Interval interval = WitnessInterval(
+              direct.expression, UnionInterval(direct.union_part));
+          EXPECT_EQ(cold.interval.lo, interval.lo) << context;
+          EXPECT_EQ(cold.interval.hi, interval.hi) << context;
+        }
+        // The write left every counter as it was, so the re-evaluated
+        // answer is the warm one, bit for bit.
+        EXPECT_EQ(cold.estimate, warm.estimate) << context;
+        EXPECT_EQ(cold.interval.lo, warm.interval.lo) << context;
+        EXPECT_EQ(cold.interval.hi, warm.interval.hi) << context;
+      }
+    }
   }
-  return copies;
 }
 
-TEST(PlanCacheTest, TwoPhaseQueryMatchesInlineAndInstallsTheMemo) {
-  VennPartitionGenerator gen(3, UniformRegionProbs(3));
-  const auto bank = BankFromDataset(gen.Generate(2048, 17), 32, 17);
-  PlanCache cache(PlanCache::Options{});
-  const ExprPtr expr = Parse("S0 | (S1 & S2)");
-  const ExpressionEstimate direct = EstimateSetExpression(*expr, *bank);
-
-  PlanCache::Result hit;
-  PlanCache::SnapshotRequest request;
-  ASSERT_FALSE(cache.BeginQuery(*expr, *bank, &hit, &request));
-  EXPECT_EQ(request.bank_id, bank->bank_id());
-  ASSERT_EQ(request.streams.size(), 3u);
-  const auto snapshot = SnapshotStreams(*bank, request);
-
-  const PlanCache::Result finished =
-      cache.FinishQuery(*expr, request, snapshot);
-  ExpectBitIdentical(finished, direct, "two-phase cold");
-  EXPECT_EQ(cache.stats().misses, 1u);
-
-  // The finished result is installed: the next Begin is a pure hit, and
-  // an equivalent spelling shares it.
-  ASSERT_TRUE(cache.BeginQuery(*expr, *bank, &hit, &request));
-  ExpectBitIdentical(hit, direct, "two-phase hot");
-  EXPECT_TRUE(hit.cache_hit);
-  ASSERT_TRUE(cache.BeginQuery(*Parse("(S2 & S1) | S0"), *bank, &hit,
-                               &request));
-  EXPECT_EQ(cache.stats().hits, 2u);
-}
-
-TEST(PlanCacheTest, StaleSnapshotAnswersItselfWithoutRegressingNewerMemo) {
-  // A FinishQuery racing behind an ingest + newer-epoch evaluation must
-  // return its own (point-in-time correct) answer but leave the newer
-  // memo installed: epochs only move forward, so the older snapshot can
-  // never satisfy a future freshness check.
-  VennPartitionGenerator gen(2, BinaryIntersectionProbs(0.5));
-  auto bank = BankFromDataset(gen.Generate(2048, 27), 32, 27);
-  PlanCache cache(PlanCache::Options{});
-  const ExprPtr expr = Parse("S0 | S1");
-  const ExpressionEstimate old_direct = EstimateSetExpression(*expr, *bank);
-
-  PlanCache::Result hit;
-  PlanCache::SnapshotRequest request;
-  ASSERT_FALSE(cache.BeginQuery(*expr, *bank, &hit, &request));
-  const auto snapshot = SnapshotStreams(*bank, request);
-
-  // Ingest + inline evaluation land first (newer epochs).
-  for (uint64_t e = 0; e < 512; ++e) bank->Apply("S0", 1u << 20 | e, 1);
-  const PlanCache::Result newer = cache.Query(*expr, *bank);
-  ASSERT_TRUE(newer.ok);
-
-  // The stale snapshot still answers its own point in time...
-  const PlanCache::Result stale = cache.FinishQuery(*expr, request, snapshot);
-  ExpectBitIdentical(stale, old_direct, "stale snapshot");
-
-  // ...and the newer memo survives: the next query is a hit on it.
-  const PlanCache::Result after = cache.Query(*expr, *bank);
-  ASSERT_TRUE(after.ok);
-  EXPECT_TRUE(after.cache_hit);
-  EXPECT_EQ(after.estimate, newer.estimate);
-}
-
-TEST(PlanCacheTest, SameEpochFinishReusesTheConcurrentlyInstalledAnswer) {
-  // Two cold queries of one expression race: whichever FinishQuery lands
-  // second finds the identical-epoch memo already installed and reuses it
-  // instead of re-evaluating.
-  VennPartitionGenerator gen(2, BinaryIntersectionProbs(0.5));
-  const auto bank = BankFromDataset(gen.Generate(1024, 37), 32, 37);
-  PlanCache cache(PlanCache::Options{});
-  const ExprPtr expr = Parse("S0 - S1");
-
-  PlanCache::Result hit;
-  PlanCache::SnapshotRequest first_request, second_request;
-  ASSERT_FALSE(cache.BeginQuery(*expr, *bank, &hit, &first_request));
-  ASSERT_FALSE(cache.BeginQuery(*expr, *bank, &hit, &second_request));
-  const auto snapshot = SnapshotStreams(*bank, first_request);
-
-  const PlanCache::Result first =
-      cache.FinishQuery(*expr, first_request, snapshot);
-  ASSERT_TRUE(first.ok);
-  EXPECT_FALSE(first.cache_hit);
-  const uint64_t builds = cache.stats().merge_builds;
-  const PlanCache::Result second =
-      cache.FinishQuery(*expr, second_request, snapshot);
-  ASSERT_TRUE(second.ok);
-  EXPECT_TRUE(second.cache_hit);  // Reused, nothing rebuilt.
-  EXPECT_EQ(cache.stats().merge_builds, builds);
-  EXPECT_EQ(second.estimate, first.estimate);
+TEST(PlanCacheTest, MemoBytesHoldNoPerCopyCounterState) {
+  // A cached plan keeps occupancy bits (one byte per copy and level for
+  // each leaf-only sub-union) and a scratch byte per plan node — never a
+  // merged copy of any sketch's counters.
+  constexpr size_t kCopies = 64;
+  VennPartitionGenerator gen(4, UniformRegionProbs(4));
+  const auto bank = BankFromDataset(gen.Generate(2048, 23), kCopies, 23);
+  const size_t levels = static_cast<size_t>(TestParams().levels);
+  const size_t one_sketch_per_copy =
+      bank->Sketches("S0")[0].CounterBytes() * kCopies;
+  PlanCache::Options options;
+  options.witness.pool_all_levels = true;
+  for (const std::string& text : ServedShapes()) {
+    PlanCache cache(options);
+    ASSERT_TRUE(cache.Query(text, *bank).ok) << text;
+    NetZeroWrite(bank.get(), "S0", 0xB17E5);
+    ASSERT_FALSE(cache.Query(text, *bank).cache_hit) << text;
+    const size_t nodes = Canonicalize(*Parse(text)).nodes.size();
+    const uint64_t bytes = cache.stats().memo_bytes;
+    EXPECT_GT(bytes, 0u) << text;
+    EXPECT_LE(bytes, nodes * kCopies * levels + nodes) << text;
+    EXPECT_LT(bytes, one_sketch_per_copy) << text;
+  }
 }
 
 TEST(PlanCacheTest, ClearDropsPlansButKeepsCounters) {
@@ -561,14 +551,6 @@ TEST(PlanCacheTest, BackendQueriesRouteAroundTheMemoAndCountStats) {
   EXPECT_EQ(cache.stats().backend_queries, 2u);
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.stats().entries, 0u);
-
-  // The two-phase protocol answers backend queries entirely in phase 1.
-  PlanCache::Result hit;
-  PlanCache::SnapshotRequest request;
-  EXPECT_TRUE(cache.BeginQuery(*expr, bank, &hit, &request));
-  ASSERT_TRUE(hit.ok);
-  EXPECT_DOUBLE_EQ(hit.estimate, first.estimate);
-  EXPECT_EQ(cache.stats().backend_queries, 3u);
 
   // Mixing a default-backend stream into a backend expression is a typed
   // refusal, not a crash or a silent wrong answer.

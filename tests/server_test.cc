@@ -20,6 +20,7 @@
 #include "expr/exact_evaluator.h"
 #include "expr/parser.h"
 #include "hash/prng.h"
+#include "query/plan_cache.h"
 #include "server/shard_queue.h"
 #include "server/sketch_client.h"
 #include "server/sketch_server.h"
@@ -229,6 +230,72 @@ TEST(SketchServerTest, EndToEndLoopbackWithSummaryAndQueries) {
   ASSERT_TRUE(client->Shutdown().ok);
   server.Wait();
   EXPECT_EQ(server.stats().updates_applied, updates.size());
+}
+
+// --- Served cold answers ≡ in-process plans ------------------------------
+
+TEST(SketchServerTest, ColdAnswerAfterNetZeroPushMatchesInProcessPlan) {
+  // A cold served answer is evaluated over the server's live bank; it
+  // must equal PlanCache::Query over a reference bank fed the same
+  // updates, bit for bit, for every served expression shape.
+  constexpr int kCopies = 64;
+  const SketchServer::Options options = ServerOptions(kCopies);
+  SketchServer server(options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  auto client = MustConnect(server);
+  ASSERT_NE(client, nullptr);
+
+  const std::vector<std::string> names = {"A", "B", "C", "D"};
+  SketchBank reference(SketchFamily(options.params, kCopies, options.seed));
+  for (const std::string& name : names) reference.AddStream(name);
+  PlanCache reference_cache(PlanCache::Options{options.witness, 128});
+
+  std::vector<double> region_probs(16, 1.0 / 15.0);
+  region_probs[0] = 0.0;  // Every element lands in at least one stream.
+  VennPartitionGenerator gen(4, region_probs);
+  const PartitionedDataset data = gen.Generate(8192, 91);
+  const auto push = [&](const std::vector<Update>& batch_updates) {
+    UpdateBatch batch;
+    batch.stream_names = names;
+    batch.updates = batch_updates;
+    const SketchClient::Status status = client->PushUpdatesWithRetry(batch);
+    ASSERT_TRUE(status.ok) << status.error;
+    for (const Update& u : batch_updates) {
+      reference.Apply(names[u.stream], u.element, u.delta);
+    }
+  };
+  push(data.ToInsertUpdates(5));
+
+  const std::vector<std::string> shapes = {
+      "A | B",
+      "A | B | C",
+      "A & B",
+      "A - B",
+      "(A - B) & C",
+      "(A | B) & C",
+      "((A | B) & C) | ((A | B) - D)",
+      "(A & B) | (C - D)",
+  };
+  for (size_t i = 0; i < shapes.size(); ++i) {
+    const std::string& text = shapes[i];
+    ASSERT_TRUE(client->Query(text).ok) << text;  // Warm the plan.
+    const uint64_t element = 0xC01DC0FFEEULL + i;
+    push({Update{0, element, 1}, Update{0, element, -1}});
+    const SketchServer::StatsSnapshot before = server.stats();
+    const QueryResultInfo served = client->Query(text);
+    const SketchServer::StatsSnapshot after = server.stats();
+    EXPECT_EQ(after.plan_cache_hits, before.plan_cache_hits) << text;
+
+    const PlanCache::Result in_process =
+        reference_cache.Query(text, reference);
+    ASSERT_EQ(served.ok, in_process.ok) << text << ": " << served.error;
+    EXPECT_EQ(served.estimate, in_process.estimate) << text;
+    EXPECT_EQ(served.lo, in_process.interval.lo) << text;
+    EXPECT_EQ(served.hi, in_process.interval.hi) << text;
+  }
+
+  server.Stop();
 }
 
 // --- Acceptance: backpressure + graceful drain --------------------------
@@ -586,7 +653,11 @@ TEST(SketchServerTest, BackendConflictRefusedWithoutSideEffects) {
     first.updates.push_back(Insert(0, static_cast<uint64_t>(e) * 7919 + 3));
   }
   ASSERT_TRUE(client->PushUpdatesWithRetry(first).ok);
+  // The ACK means enqueued, not applied; a query drains the shard queues
+  // first, so the count below includes the whole batch.
+  ASSERT_TRUE(client->Query("X").ok);
   const uint64_t applied_before = server.stats().updates_applied;
+  ASSERT_EQ(applied_before, first.updates.size());
 
   // A batch re-tagging X as set_sketch is refused wholesale — including
   // the brand-new stream Y riding in the same frame.

@@ -34,6 +34,9 @@
 //                        frames zero-copy; threads is the legacy
 //                        thread-per-connection loop. --pin-shards pins
 //                        shard workers and io threads to cpus)
+//                       (--queue-capacity counts batches per shard, not
+//                        updates: in-flight updates per shard = capacity
+//                        x frame size, e.g. 64 x 32 = 2048)
 //                       (prints "listening on <addr>:<port>", runs until
 //                        `sketchtool shutdown`; with --wal-dir, accepted
 //                        batches are crash-safe and a restart pointing at
@@ -143,6 +146,8 @@ int Usage() {
                "           [--backend epoll|threads] [--io-threads N]\n"
                "           [--read-chunk-bytes N] [--pin-shards]\n"
                "           [--backend-sketch NAME] [--backend-size N]\n"
+               "           (--queue-capacity counts batches per shard, not\n"
+               "            updates: in flight = capacity x frame size)\n"
                "  route    --shards H:P[,H:P..] [--port N] [--bind ADDR]\n"
                "           [--replicas N] [--static-placement]\n"
                "           [--virtual-nodes N] [--placement-seed N]\n"
