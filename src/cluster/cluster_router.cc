@@ -24,10 +24,6 @@ namespace {
 
 constexpr uint64_t kProbeBackoffSalt = 0x726F757470726F62ULL;  // "routprob"
 
-std::string ErrorFrame(WireError code, std::string_view message) {
-  return EncodeFrame(Opcode::kError, EncodeError(code, message));
-}
-
 /// RAII shared hold on the write gate for the push fan-out path.
 class SharedGate {
  public:
@@ -220,10 +216,24 @@ void ClusterRouter::AcceptLoop() {
     }
     ++connections_accepted_;
     ++connections_active_;
-    MutexLock lock(&connections_mutex_);
-    open_fds_.push_back(fd);
-    handler_threads_.emplace_back(&ClusterRouter::HandleConnection, this,
-                                  fd);
+    std::vector<std::thread> finished;
+    {
+      MutexLock lock(&connections_mutex_);
+      // Reap the handlers of closed connections before spawning the next,
+      // so live threads stay bounded by live connections.
+      for (const std::thread::id id : finished_handlers_) {
+        const auto it = std::find_if(
+            handler_threads_.begin(), handler_threads_.end(),
+            [id](const std::thread& thread) { return thread.get_id() == id; });
+        finished.push_back(std::move(*it));
+        handler_threads_.erase(it);
+      }
+      finished_handlers_.clear();
+      open_fds_.push_back(fd);
+      handler_threads_.emplace_back(&ClusterRouter::HandleConnection, this,
+                                    fd);
+    }
+    for (std::thread& thread : finished) thread.join();
   }
 }
 
@@ -256,12 +266,12 @@ void ClusterRouter::HandleConnection(int fd) {
       if (status == FrameDecoder::Status::kNeedMore) break;
       if (status == FrameDecoder::Status::kError) {
         ++protocol_errors_;
-        send_response(ErrorFrame(decoder.error(), decoder.error_message()));
+        send_response(
+            EncodeErrorFrame(decoder.error(), decoder.error_message()));
         open = false;
         break;
       }
       ++frames_received_;
-      ++connection.frames;
       bool keep_open = true;
       const std::string response = HandleFrame(frame, &connection,
                                                &keep_open);
@@ -279,8 +289,8 @@ void ClusterRouter::HandleConnection(int fd) {
         break;
       }
       if (connection.errors >= options_.max_connection_errors) {
-        send_response(ErrorFrame(WireError::kTooManyErrors,
-                                 "connection error budget exhausted"));
+        send_response(EncodeErrorFrame(WireError::kTooManyErrors,
+                                       "connection error budget exhausted"));
         open = false;
         break;
       }
@@ -288,8 +298,12 @@ void ClusterRouter::HandleConnection(int fd) {
     }
   }
   {
+    // Deregister before close so Stop() never shutdown()s a recycled fd.
+    // The acceptor emplaces this thread under the same lock, so it is in
+    // handler_threads_ by the time its id is queued for the join.
     MutexLock lock(&connections_mutex_);
     std::erase(open_fds_, fd);
+    finished_handlers_.push_back(std::this_thread::get_id());
   }
   ::close(fd);
   --connections_active_;
@@ -331,7 +345,7 @@ std::string ClusterRouter::HandleFrame(const Frame& frame,
       if (!DecodeShardAdmin(frame.payload, &request, &decode_error)) {
         ++connection->errors;
         ++protocol_errors_;
-        return ErrorFrame(WireError::kBadPayload, decode_error);
+        return EncodeErrorFrame(WireError::kBadPayload, decode_error);
       }
       ClusterShard shard;
       shard.name = request.name;
@@ -340,7 +354,7 @@ std::string ClusterRouter::HandleFrame(const Frame& frame,
       uint64_t moved = 0;
       std::string admin_error;
       if (!AddShard(shard, &moved, &admin_error)) {
-        return ErrorFrame(WireError::kBadMembership, admin_error);
+        return EncodeErrorFrame(WireError::kBadMembership, admin_error);
       }
       AckInfo ack;
       ack.accepted = moved;
@@ -352,12 +366,12 @@ std::string ClusterRouter::HandleFrame(const Frame& frame,
       if (!DecodeShardAdmin(frame.payload, &request, &decode_error)) {
         ++connection->errors;
         ++protocol_errors_;
-        return ErrorFrame(WireError::kBadPayload, decode_error);
+        return EncodeErrorFrame(WireError::kBadPayload, decode_error);
       }
       uint64_t moved = 0;
       std::string admin_error;
       if (!DrainShard(request.name, &moved, &admin_error)) {
-        return ErrorFrame(WireError::kBadMembership, admin_error);
+        return EncodeErrorFrame(WireError::kBadMembership, admin_error);
       }
       AckInfo ack;
       ack.accepted = moved;
@@ -378,15 +392,15 @@ std::string ClusterRouter::HandleFrame(const Frame& frame,
     case Opcode::kPushRepair:
       ++connection->errors;
       ++protocol_errors_;
-      return ErrorFrame(WireError::kBadPayload,
-                        std::string(OpcodeName(frame.opcode)) +
-                            " is not routed; address a shard directly");
+      return EncodeErrorFrame(WireError::kBadPayload,
+                              std::string(OpcodeName(frame.opcode)) +
+                                  " is not routed; address a shard directly");
     default:
       ++connection->errors;
       ++protocol_errors_;
-      return ErrorFrame(WireError::kUnknownOpcode,
-                        std::string("unexpected opcode ") +
-                            OpcodeName(frame.opcode));
+      return EncodeErrorFrame(
+          WireError::kUnknownOpcode,
+          std::string("unexpected opcode ") + OpcodeName(frame.opcode));
   }
 }
 
@@ -593,10 +607,10 @@ std::string ClusterRouter::HandlePushUpdates(const Frame& frame,
   if (!DecodePushUpdates(frame.payload, &batch, &decode_error)) {
     ++connection->errors;
     ++protocol_errors_;
-    return ErrorFrame(WireError::kBadPayload, decode_error);
+    return EncodeErrorFrame(WireError::kBadPayload, decode_error);
   }
   if (draining_.load()) {
-    return ErrorFrame(WireError::kShuttingDown, "router is draining");
+    return EncodeErrorFrame(WireError::kShuttingDown, "router is draining");
   }
 
   // Shared hold on the write gate: repair/migration transfers take it
@@ -631,8 +645,8 @@ std::string ClusterRouter::HandlePushUpdates(const Frame& frame,
       shards_of_stream[k].push_back(shard_index);
     }
     if (shards_of_stream[k].empty()) {
-      return ErrorFrame(WireError::kNoHealthyShard,
-                        "stream '" + name + "' has no healthy shard");
+      return EncodeErrorFrame(WireError::kNoHealthyShard,
+                              "stream '" + name + "' has no healthy shard");
     }
     for (const size_t shard_index : shards_of_stream[k]) {
       SubBatch& sub = per_shard[shard_index];
@@ -684,7 +698,7 @@ std::string ClusterRouter::HandlePushUpdates(const Frame& frame,
         const std::string prefix =
             std::string(WireErrorName(WireError::kConfigMismatch)) + ": ";
         if (detail.rfind(prefix, 0) == 0) detail.erase(0, prefix.size());
-        return ErrorFrame(WireError::kConfigMismatch, detail);
+        return EncodeErrorFrame(WireError::kConfigMismatch, detail);
       }
       if (!status.retry) {
         ++forward_failures_;
@@ -1879,6 +1893,7 @@ void ClusterRouter::Stop() {
     MutexLock lock(&connections_mutex_);
     for (const int fd : open_fds_) ::shutdown(fd, SHUT_RDWR);
     handlers.swap(handler_threads_);
+    finished_handlers_.clear();
   }
   for (std::thread& handler : handlers) handler.join();
 

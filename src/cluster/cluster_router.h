@@ -333,7 +333,6 @@ class ClusterRouter {
   struct Connection {
     int fd = -1;
     int errors = 0;
-    uint64_t frames = 0;
     /// SHUTDOWN was handled on this connection: the lifecycle wait is
     /// released only after the ACK is queued on the socket, so Stop()'s
     /// shutdown(SHUT_RDWR) sweep can never cut the client off before
@@ -469,6 +468,10 @@ class ClusterRouter {
   std::thread acceptor_;
   Mutex connections_mutex_;
   std::vector<std::thread> handler_threads_
+      SETSKETCH_GUARDED_BY(connections_mutex_);
+  /// Handlers whose connection closed, awaiting a join by the acceptor:
+  /// an exited but unjoined thread keeps its stack mapped.
+  std::vector<std::thread::id> finished_handlers_
       SETSKETCH_GUARDED_BY(connections_mutex_);
   std::vector<int> open_fds_ SETSKETCH_GUARDED_BY(connections_mutex_);
 

@@ -18,22 +18,6 @@
 
 namespace setsketch {
 
-bool ParseIngestBackend(const std::string& text, IngestBackend* out) {
-  if (text == "epoll") {
-    *out = IngestBackend::kEpoll;
-    return true;
-  }
-  if (text == "threads" || text == "threaded") {
-    *out = IngestBackend::kThreaded;
-    return true;
-  }
-  return false;
-}
-
-const char* IngestBackendName(IngestBackend backend) {
-  return backend == IngestBackend::kEpoll ? "epoll" : "threads";
-}
-
 bool PinCurrentThreadToCpu(int cpu) {
   const long cpus = ::sysconf(_SC_NPROCESSORS_ONLN);
   if (cpus <= 0) return false;
@@ -187,14 +171,12 @@ void EpollServerBackend::HandleReadable(Loop* loop, ConnState* state) {
       break;
     }
     ++frames_parsed;
-    ++connection->frames;
     bool keep_open = true;
     handler_->OnFrame(view, connection, &responses, &keep_open);
     arena.Consume(frame_bytes);
     if (connection->errors >= options_.max_connection_errors) {
-      responses += EncodeFrame(
-          Opcode::kError, EncodeError(WireError::kTooManyErrors,
-                                      "connection error budget exhausted"));
+      responses += EncodeErrorFrame(WireError::kTooManyErrors,
+                                    "connection error budget exhausted");
       open = false;
       break;
     }

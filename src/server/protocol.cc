@@ -121,56 +121,25 @@ void FrameDecoder::Feed(const char* data, size_t size) {
   buffer_.append(data, size);
 }
 
-FrameDecoder::Status FrameDecoder::Fail(WireError error,
-                                        std::string message) {
-  error_ = error;
-  error_message_ = std::move(message);
-  return Status::kError;
-}
-
 FrameDecoder::Status FrameDecoder::Next(Frame* frame) {
   if (error_ != WireError::kNone) return Status::kError;
-  if (buffer_.size() - consumed_ < kFrameHeaderBytes) {
-    return Status::kNeedMore;
+  // One header parser: ScanFrame's checks and messages are the decoder's;
+  // only the payload copy out of the reassembly buffer is added here.
+  FrameView view;
+  size_t frame_bytes = 0;
+  switch (ScanFrame(std::string_view(buffer_).substr(consumed_), &view,
+                    &frame_bytes, &error_, &error_message_)) {
+    case FrameScanStatus::kNeedMore:
+      return Status::kNeedMore;
+    case FrameScanStatus::kError:
+      return Status::kError;
+    case FrameScanStatus::kFrame:
+      break;
   }
-  const size_t base = consumed_;
-  const uint32_t magic = ReadU32At(buffer_, base);
-  if (magic != kProtocolMagic) {
-    return Fail(WireError::kBadMagic, "bad frame magic");
-  }
-  const uint8_t version = static_cast<uint8_t>(buffer_[base + 4]);
-  if (version != kProtocolVersion) {
-    return Fail(WireError::kBadVersion,
-                "unsupported protocol version " + std::to_string(version));
-  }
-  if (buffer_[base + 6] != 0 || buffer_[base + 7] != 0) {
-    return Fail(WireError::kBadHeader, "nonzero reserved header bits");
-  }
-  const uint32_t payload_size = ReadU32At(buffer_, base + 8);
-  if (payload_size > kMaxPayloadBytes) {
-    return Fail(WireError::kOversizedPayload,
-                "payload of " + std::to_string(payload_size) +
-                    " bytes exceeds the frame limit");
-  }
-  if (buffer_.size() - base - kFrameHeaderBytes < payload_size) {
-    return Status::kNeedMore;
-  }
-  frame->opcode = static_cast<Opcode>(buffer_[base + 5]);
-  frame->payload.assign(buffer_, base + kFrameHeaderBytes, payload_size);
-  consumed_ = base + kFrameHeaderBytes + payload_size;
+  frame->opcode = view.opcode;
+  frame->payload.assign(view.payload);
+  consumed_ += frame_bytes;
   return Status::kFrame;
-}
-
-void FrameDecoder::ShrinkIfDrained() {
-  // Only worth a reallocation when a past large frame left a buffer far
-  // beyond the steady-state read size.
-  constexpr size_t kShrinkAboveBytes = 256u << 10;
-  if (consumed_ != buffer_.size() || buffer_.capacity() <= kShrinkAboveBytes) {
-    return;
-  }
-  buffer_.clear();
-  buffer_.shrink_to_fit();
-  consumed_ = 0;
 }
 
 FrameScanStatus ScanFrame(std::string_view data, FrameView* view,
@@ -533,6 +502,10 @@ std::string EncodeError(WireError error, std::string_view message) {
   AppendVarint(&out, static_cast<uint64_t>(error));
   out.append(message);
   return out;
+}
+
+std::string EncodeErrorFrame(WireError error, std::string_view message) {
+  return EncodeFrame(Opcode::kError, EncodeError(error, message));
 }
 
 bool DecodeError(const std::string& payload, ErrorInfo* out) {

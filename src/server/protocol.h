@@ -132,11 +132,12 @@ enum class FrameScanStatus {
   kError,     ///< Header-level corruption; the stream is poisoned.
 };
 
-/// Scans the frame at the front of `data` without copying its payload —
-/// the zero-copy counterpart of FrameDecoder::Next, applying the same
-/// header checks and producing the same error codes and messages (the
-/// equivalence is pinned by tests). On kFrame, *view borrows from `data`
-/// and *frame_bytes is the full frame length (header + payload).
+/// Scans the frame at the front of `data` without copying its payload:
+/// the one frame-header parser (magic, version, reserved bits, payload
+/// cap). FrameDecoder::Next runs it over its reassembly buffer, so both
+/// report the same error codes and messages. On kFrame, *view borrows
+/// from `data` and *frame_bytes is the full frame length (header +
+/// payload). On kError, *error and *error_message are set.
 FrameScanStatus ScanFrame(std::string_view data, FrameView* view,
                           size_t* frame_bytes, WireError* error,
                           std::string* error_message) SETSKETCH_HOT_PATH;
@@ -164,15 +165,7 @@ class FrameDecoder {
   /// Bytes buffered but not yet consumed as frames.
   size_t buffered_bytes() const { return buffer_.size() - consumed_; }
 
-  /// Releases an oversized reassembly buffer once it is fully drained,
-  /// so a connection that once carried a large frame does not pin its
-  /// high-watermark allocation while idle. No-op while bytes are
-  /// buffered.
-  void ShrinkIfDrained();
-
  private:
-  Status Fail(WireError error, std::string message);
-
   std::string buffer_;
   size_t consumed_ = 0;  // Prefix of buffer_ already handed out as frames.
   WireError error_ = WireError::kNone;
@@ -240,6 +233,8 @@ bool DecodePushUpdates(std::string_view payload, UpdateBatchView* out,
 
 /// ERROR payload: varint code + message bytes (rest of payload).
 std::string EncodeError(WireError error, std::string_view message);
+/// A whole ERROR frame: EncodeFrame(kError, EncodeError(error, message)).
+std::string EncodeErrorFrame(WireError error, std::string_view message);
 struct ErrorInfo {
   WireError code = WireError::kNone;
   std::string message;

@@ -2,7 +2,6 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -16,20 +15,10 @@
 #include "expr/analysis.h"
 #include "expr/parser.h"
 #include "query/stream_engine.h"
-#include "server/fault_injector.h"
-#include "server/socket_io.h"
 #include "util/check.h"
 #include "util/varint_bulk.h"
 
 namespace setsketch {
-
-namespace {
-
-std::string ErrorFrame(WireError code, std::string_view message) {
-  return EncodeFrame(Opcode::kError, EncodeError(code, message));
-}
-
-}  // namespace
 
 SketchServer::SketchServer(const Options& options)
     : options_(options),
@@ -89,27 +78,24 @@ bool SketchServer::Start(std::string* error) {
   }
   port_ = ntohs(bound.sin_port);
 
-  if (options_.backend == IngestBackend::kEpoll) {
-    EpollServerBackend::Options backend_options;
-    backend_options.io_threads = options_.io_threads;
-    backend_options.read_chunk_bytes = options_.read_chunk_bytes;
-    backend_options.io_timeout_ms = options_.io_timeout_ms;
-    backend_options.idle_timeout_ms = options_.idle_timeout_ms;
-    backend_options.max_connection_errors = options_.max_connection_errors;
-    // io threads pin after the shard workers (worker t -> cpu t).
-    backend_options.pin_cpu_offset =
-        options_.pin_shards ? options_.shards : -1;
-    backend_options.fault_injector = options_.fault_injector;
-    epoll_backend_ = std::make_unique<EpollServerBackend>(
-        backend_options, static_cast<EpollServerBackend::Handler*>(this));
-    std::string backend_error;
-    if (!epoll_backend_->Start(&backend_error)) {
-      if (error != nullptr) *error = backend_error;
-      epoll_backend_.reset();
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return false;
-    }
+  EpollServerBackend::Options backend_options;
+  backend_options.io_threads = options_.io_threads;
+  backend_options.read_chunk_bytes = options_.read_chunk_bytes;
+  backend_options.io_timeout_ms = options_.io_timeout_ms;
+  backend_options.idle_timeout_ms = options_.idle_timeout_ms;
+  backend_options.max_connection_errors = options_.max_connection_errors;
+  // io threads pin after the shard workers (worker t -> cpu t).
+  backend_options.pin_cpu_offset = options_.pin_shards ? options_.shards : -1;
+  backend_options.fault_injector = options_.fault_injector;
+  epoll_backend_ = std::make_unique<EpollServerBackend>(
+      backend_options, static_cast<EpollServerBackend::Handler*>(this));
+  std::string backend_error;
+  if (!epoll_backend_->Start(&backend_error)) {
+    if (error != nullptr) *error = backend_error;
+    epoll_backend_.reset();
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    return false;
   }
 
   queues_.reserve(static_cast<size_t>(options_.shards));
@@ -142,89 +128,11 @@ void SketchServer::AcceptLoop() {
     }
     ++connections_accepted_;
     ++connections_active_;
-    if (epoll_backend_ != nullptr) {
-      if (!epoll_backend_->Adopt(fd)) {
-        ::close(fd);
-        --connections_active_;
-      }
-      continue;
+    if (!epoll_backend_->Adopt(fd)) {
+      ::close(fd);
+      --connections_active_;
     }
-    MutexLock lock(&connections_mutex_);
-    open_fds_.push_back(fd);
-    handler_threads_.emplace_back(&SketchServer::HandleConnection, this, fd);
   }
-}
-
-void SketchServer::HandleConnection(int fd) {
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  SetNonBlocking(fd);  // All I/O below is poll-gated (deadlines).
-
-  // Sends honor the per-response deadline and route through the fault
-  // injector (the chaos tests' drop/truncate/reset seam).
-  const auto send_response = [&](const std::string& bytes) {
-    return SendAllWithDeadline(fd, bytes, options_.io_timeout_ms,
-                               options_.fault_injector)
-        .ok();
-  };
-
-  FrameDecoder decoder;
-  Connection connection;
-  connection.fd = fd;
-  std::vector<char> buffer(1 << 16);
-  bool open = true;
-  while (open) {
-    size_t received = 0;
-    const IoResult got =
-        RecvSomeWithDeadline(fd, buffer.data(), buffer.size(),
-                             options_.idle_timeout_ms, &received);
-    if (!got.ok()) break;  // EOF, error, or idle deadline: drop the peer.
-    decoder.Feed(buffer.data(), received);
-    const size_t buffered = decoder.buffered_bytes();
-    size_t frames_in_read = 0;
-    Frame frame;
-    while (open) {
-      const FrameDecoder::Status status = decoder.Next(&frame);
-      if (status == FrameDecoder::Status::kNeedMore) break;
-      if (status == FrameDecoder::Status::kError) {
-        // Header-level corruption: no resync is possible. Report & close.
-        ++protocol_errors_;
-        send_response(ErrorFrame(decoder.error(), decoder.error_message()));
-        open = false;
-        break;
-      }
-      ++frames_received_;
-      ++connection.frames;
-      ++frames_in_read;
-      bool keep_open = true;
-      const std::string response =
-          HandleFrame(frame.opcode, frame.payload, &connection, &keep_open);
-      const bool sent = send_response(response);
-      NotifyShutdownIfRequested(&connection);
-      if (!sent) {
-        open = false;
-        break;
-      }
-      if (connection.errors >= options_.max_connection_errors) {
-        send_response(ErrorFrame(WireError::kTooManyErrors,
-                                 "connection error budget exhausted"));
-        open = false;
-        break;
-      }
-      if (!keep_open) open = false;
-    }
-    // A drained decoder releases a high-watermark reassembly buffer so an
-    // idle connection that once saw a huge frame holds nothing oversized.
-    decoder.ShrinkIfDrained();
-    CountReadBatch(received, frames_in_read, buffered);
-  }
-  {
-    // Deregister before close so Stop() never shutdown()s a recycled fd.
-    MutexLock lock(&connections_mutex_);
-    std::erase(open_fds_, fd);
-  }
-  ::close(fd);
-  --connections_active_;
 }
 
 std::string SketchServer::HandleFrame(Opcode opcode, std::string_view payload,
@@ -272,50 +180,24 @@ std::string SketchServer::HandleFrame(Opcode opcode, std::string_view payload,
     case Opcode::kShutdown: {
       draining_.store(true);
       // The lifecycle notify is deferred until the ACK below has been
-      // queued on the socket (both backends run the post-send
-      // NotifyShutdownIfRequested hook): waking the Stop() thread first
-      // would let its shutdown(SHUT_RDWR) sweep race ahead of the ACK.
+      // queued on the socket (OnResponsesSent runs post-send): waking the
+      // Stop() thread first would let its shutdown(SHUT_RDWR) sweep race
+      // ahead of the ACK.
       connection->notify_shutdown = true;
       return EncodeFrame(Opcode::kAck, EncodeAck(AckInfo{}));
     }
     default:
       ++connection->errors;
       ++protocol_errors_;
-      return ErrorFrame(WireError::kUnknownOpcode,
-                        std::string("unexpected opcode ") +
-                            OpcodeName(opcode));
-  }
-}
-
-void SketchServer::NotifyShutdownIfRequested(Connection* connection) {
-  if (!connection->notify_shutdown) return;
-  connection->notify_shutdown = false;
-  {
-    MutexLock lock(&lifecycle_mutex_);
-    shutdown_requested_ = true;
-  }
-  lifecycle_cv_.notify_all();
-}
-
-void SketchServer::CountReadBatch(size_t bytes, size_t frames,
-                                  size_t arena_high_watermark) {
-  ingest_bytes_read_ += bytes;
-  ++ingest_read_calls_;
-  uint64_t seen = ingest_max_frames_per_read_.load(std::memory_order_relaxed);
-  while (frames > seen &&
-         !ingest_max_frames_per_read_.compare_exchange_weak(seen, frames)) {
-  }
-  seen = ingest_arena_hwm_bytes_.load(std::memory_order_relaxed);
-  while (arena_high_watermark > seen &&
-         !ingest_arena_hwm_bytes_.compare_exchange_weak(
-             seen, arena_high_watermark)) {
+      return EncodeErrorFrame(
+          WireError::kUnknownOpcode,
+          std::string("unexpected opcode ") + OpcodeName(opcode));
   }
 }
 
 // ---------------------------------------------------------------------------
-// EpollServerBackend::Handler — the epoll ingest backend calls back into
-// the same frame dispatch as the thread-per-connection loop, so both
-// backends produce identical responses, WAL bytes and bank state.
+// EpollServerBackend::Handler — the epoll backend's io threads call back
+// into the frame dispatch below.
 
 void SketchServer::OnFrame(const FrameView& frame,
                            ServerConnection* connection,
@@ -329,16 +211,33 @@ void SketchServer::OnStreamError(WireError error, const std::string& message,
                                  ServerConnection* /*connection*/,
                                  std::string* responses) {
   ++protocol_errors_;
-  responses->append(ErrorFrame(error, message));
+  responses->append(EncodeErrorFrame(error, message));
 }
 
 void SketchServer::OnResponsesSent(ServerConnection* connection) {
-  NotifyShutdownIfRequested(connection);
+  // A SHUTDOWN ACK is now on the socket: release the lifecycle waiters.
+  if (!connection->notify_shutdown) return;
+  connection->notify_shutdown = false;
+  {
+    MutexLock lock(&lifecycle_mutex_);
+    shutdown_requested_ = true;
+  }
+  lifecycle_cv_.notify_all();
 }
 
 void SketchServer::OnReadBatch(size_t bytes, size_t frames,
                                size_t arena_high_watermark) {
-  CountReadBatch(bytes, frames, arena_high_watermark);
+  ingest_bytes_read_ += bytes;
+  ++ingest_read_calls_;
+  uint64_t seen = ingest_max_frames_per_read_.load(std::memory_order_relaxed);
+  while (frames > seen &&
+         !ingest_max_frames_per_read_.compare_exchange_weak(seen, frames)) {
+  }
+  seen = ingest_arena_hwm_bytes_.load(std::memory_order_relaxed);
+  while (arena_high_watermark > seen &&
+         !ingest_arena_hwm_bytes_.compare_exchange_weak(
+             seen, arena_high_watermark)) {
+  }
 }
 
 void SketchServer::OnDisconnect(ServerConnection* /*connection*/) {
@@ -424,36 +323,20 @@ std::shared_ptr<IngestBatch> SketchServer::ResolveBatchLocked(
 
 std::string SketchServer::HandlePushUpdates(std::string_view payload,
                                             Connection* connection) {
-  if (options_.backend == IngestBackend::kEpoll) {
-    // Fast path: zero-copy decode — site id and stream names stay views
-    // into the connection arena, update triples decode through the SIMD
-    // varint runs. thread_local keeps the vectors' capacity warm across
-    // the io thread's frames.
-    // Per-frame scratch: the stale views are fully overwritten by
-    // DecodePushUpdates before any read. analyze-ok: arena-escape
-    thread_local UpdateBatchView batch;
-    std::string decode_error;
-    if (!DecodePushUpdates(payload, &batch, &decode_error)) {
-      ++connection->errors;
-      ++protocol_errors_;
-      return ErrorFrame(WireError::kBadPayload, decode_error);
-    }
-    return AdmitPush(batch.site_id, batch.sequence, batch.stream_names,
-                     batch.stream_backends, batch.updates, payload);
-  }
-  // Legacy backend: the original owning decoder (per-frame string
-  // copies), kept as-was so the backend comparison measures the real
-  // historical path.
-  UpdateBatch batch;
+  // Zero-copy decode: site id and stream names stay views into the
+  // connection arena, update triples decode through the SIMD varint runs.
+  // thread_local keeps the vectors' capacity warm across the io thread's
+  // frames.
+  // Per-frame scratch: the stale views are fully overwritten by
+  // DecodePushUpdates before any read. analyze-ok: arena-escape
+  thread_local UpdateBatchView batch;
   std::string decode_error;
   if (!DecodePushUpdates(payload, &batch, &decode_error)) {
     ++connection->errors;
     ++protocol_errors_;
-    return ErrorFrame(WireError::kBadPayload, decode_error);
+    return EncodeErrorFrame(WireError::kBadPayload, decode_error);
   }
-  const std::vector<std::string_view> names(batch.stream_names.begin(),
-                                            batch.stream_names.end());
-  return AdmitPush(batch.site_id, batch.sequence, names,
+  return AdmitPush(batch.site_id, batch.sequence, batch.stream_names,
                    batch.stream_backends, batch.updates, payload);
 }
 
@@ -463,13 +346,14 @@ std::string SketchServer::AdmitPush(
     const std::vector<uint8_t>& stream_backends,
     const std::vector<Update>& updates, std::string_view raw_payload) {
   if (draining_.load()) {
-    return ErrorFrame(WireError::kShuttingDown, "server is draining");
+    return EncodeErrorFrame(WireError::kShuttingDown, "server is draining");
   }
   const uint64_t num_updates = updates.size();
   {
     MutexLock lock(&push_mutex_);
     if (draining_.load()) {
-      return ErrorFrame(WireError::kShuttingDown, "server is draining");
+      return EncodeErrorFrame(WireError::kShuttingDown,
+                              "server is draining");
     }
     // Exactly-once admission: the seen-check, the durable append and the
     // enqueue are one atomic step under push_mutex_, so two connections
@@ -514,14 +398,14 @@ std::string SketchServer::AdmitPush(
       // any stream registration, exactly like a stored-coins mismatch —
       // mixed-backend counters must never merge.
       ++batches_rejected_;
-      return ErrorFrame(WireError::kConfigMismatch, conflict);
+      return EncodeErrorFrame(WireError::kConfigMismatch, conflict);
     }
     if (wal_ != nullptr) {
       // Durability before acknowledgment: the raw payload hits fsync'd
       // storage before the client can learn the batch was accepted.
       std::string wal_error;
       if (!wal_->Append(site_id, sequence, raw_payload, &wal_error)) {
-        return ErrorFrame(WireError::kWalFailure, wal_error);
+        return EncodeErrorFrame(WireError::kWalFailure, wal_error);
       }
     }
     if (!site_id.empty()) dedup_.Record(site_id, sequence);
@@ -538,7 +422,7 @@ std::string SketchServer::AdmitPush(
 std::string SketchServer::HandlePushSummary(std::string_view payload,
                                             Connection* connection) {
   if (draining_.load()) {
-    return ErrorFrame(WireError::kShuttingDown, "server is draining");
+    return EncodeErrorFrame(WireError::kShuttingDown, "server is draining");
   }
   Coordinator::IngestResult result;
   {
@@ -549,7 +433,7 @@ std::string SketchServer::HandlePushSummary(std::string_view payload,
     ++summaries_rejected_;
     ++connection->errors;
     ++protocol_errors_;
-    return ErrorFrame(WireError::kRejectedSummary, result.error);
+    return EncodeErrorFrame(WireError::kRejectedSummary, result.error);
   }
   ++summaries_accepted_;
   return EncodeFrame(
@@ -565,7 +449,7 @@ std::string SketchServer::HandlePullSummary(std::string_view payload,
   if (!DecodeSummaryPull(std::string(payload), &request, &decode_error)) {
     ++connection->errors;
     ++protocol_errors_;
-    return ErrorFrame(WireError::kBadPayload, decode_error);
+    return EncodeErrorFrame(WireError::kBadPayload, decode_error);
   }
   return EncodeFrame(Opcode::kSummaryResult,
                      EncodeSummaryResult(PullSummaries(request)));
@@ -743,18 +627,18 @@ std::string SketchServer::HandlePushRepair(std::string_view payload,
   if (!DecodeRepairInstall(std::string(payload), &install, &error)) {
     ++connection->errors;
     ++protocol_errors_;
-    return ErrorFrame(WireError::kBadPayload, error);
+    return EncodeErrorFrame(WireError::kBadPayload, error);
   }
   if (draining_.load()) {
-    return ErrorFrame(WireError::kShuttingDown,
-                      "server is draining; repair refused");
+    return EncodeErrorFrame(WireError::kShuttingDown,
+                            "server is draining; repair refused");
   }
   uint64_t installed = 0;
   WireError code = WireError::kNone;
   if (!InstallRepair(install, &installed, &code, &error)) {
     ++connection->errors;
     ++protocol_errors_;
-    return ErrorFrame(code, error);
+    return EncodeErrorFrame(code, error);
   }
   return EncodeFrame(Opcode::kAck, EncodeAck(AckInfo{installed}));
 }
@@ -1128,7 +1012,7 @@ std::string SketchServer::RenderStats() const {
       << "repair_pulls " << s.repair_pulls << "\n"
       << "repair_installs " << s.repair_installs << "\n"
       << "uptime_ms " << s.uptime_ms << "\n"
-      << "ingest_backend " << IngestBackendName(options_.backend) << "\n"
+      << "ingest_backend epoll\n"
       << "ingest_io_threads " << options_.io_threads << "\n"
       << "ingest_simd_varint " << s.ingest_simd_varint << "\n"
       << "ingest_bytes_read " << s.ingest_bytes_read << "\n"
@@ -1233,18 +1117,9 @@ void SketchServer::Stop() {
   ::shutdown(listen_fd_, SHUT_RDWR);
   if (acceptor_.joinable()) acceptor_.join();
 
-  // 2. Unblock and join the connection handlers: epoll io threads (which
-  // close their adopted connections), then any legacy per-connection
-  // threads. handler_threads_ only grows from the (joined) acceptor, so
-  // swapping it out is safe.
-  if (epoll_backend_ != nullptr) epoll_backend_->Shutdown();
-  std::vector<std::thread> handlers;
-  {
-    MutexLock lock(&connections_mutex_);
-    for (const int fd : open_fds_) ::shutdown(fd, SHUT_RDWR);
-    handlers.swap(handler_threads_);
-  }
-  for (std::thread& handler : handlers) handler.join();
+  // 2. Unblock and join the epoll io threads, which close their adopted
+  // connections.
+  epoll_backend_->Shutdown();
 
   // 3. Drain: workers finish every queued batch, then exit. Nothing that
   // was acknowledged is lost.

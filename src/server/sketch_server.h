@@ -5,9 +5,10 @@
 //
 // Threading model:
 //
-//   acceptor thread ──▶ one handler thread per connection
-//                          │  decodes frames (server/protocol.h)
-//                          │  resolves stream names to dense ids
+//   acceptor thread ──▶ epoll io threads (server/epoll_backend.h)
+//                          │  multiplex every connection, scan frames
+//                          │  zero-copy (server/protocol.h), resolve
+//                          │  stream names to dense ids
 //                          ▼
 //                       bounded ShardQueues (one per ingest shard)
 //                          │  full queue => RETRY_LATER frame
@@ -38,9 +39,9 @@
 //     index) after a crash, rebuilding bit-identical sketch state by
 //     counter linearity. snapshot_every_bytes compacts the log into
 //     engine-snapshot checkpoints.
-//   * Deadlines: connection sends honor io_timeout_ms and reads honor
-//     idle_timeout_ms (poll-based, src/server/socket_io.h), so a stalled
-//     peer costs a connection, never a wedged handler thread.
+//   * Deadlines: response sends honor io_timeout_ms and connections
+//     idle for idle_timeout_ms are dropped, so a stalled peer costs a
+//     connection, never a wedged io thread.
 //
 // Coordinator summaries are NOT written to the WAL: PUSH_SUMMARY is
 // already idempotent per site (latest summary wins), so a site that
@@ -129,16 +130,11 @@ class SketchServer : private EpollServerBackend::Handler {
     /// this long is dropped. <= 0 = never.
     int idle_timeout_ms = 0;
 
-    /// Ingest I/O backend. kEpoll (the default, server/epoll_backend.h)
-    /// multiplexes all connections over a few io threads with batched
-    /// arena reads and zero-copy frame decode; kThreaded is the original
-    /// thread-per-connection loop (kept selectable for comparison — both
-    /// produce bit-identical bank and WAL state).
-    IngestBackend backend = IngestBackend::kEpoll;
-    /// Event-loop threads for the epoll backend.
+    /// Event-loop threads (server/epoll_backend.h): they multiplex all
+    /// connections with batched arena reads and zero-copy frame decode.
     int io_threads = 1;
-    /// Bytes drained from a socket per readable event (epoll backend);
-    /// also the steady-state per-connection arena capacity.
+    /// Bytes drained from a socket per readable event; also the
+    /// steady-state per-connection arena capacity.
     size_t read_chunk_bytes = 256u << 10;
     /// Pin threads to CPUs: shard worker t -> cpu t, epoll io thread i ->
     /// cpu shards + i (mod CPU count). Keeps each copy range's counters
@@ -216,7 +212,7 @@ class SketchServer : private EpollServerBackend::Handler {
     uint64_t repair_pulls = 0;       ///< PULL_REPAIR manifests served.
     uint64_t repair_installs = 0;    ///< PUSH_REPAIR installs applied.
     uint64_t uptime_ms = 0;          ///< Milliseconds since Start().
-    // Ingest fast-path counters (both backends report them).
+    // Ingest I/O counters (one read batch = one readable event).
     uint64_t ingest_bytes_read = 0;  ///< Socket bytes drained by reads.
     uint64_t ingest_read_calls = 0;  ///< recv() calls that returned data.
     uint64_t ingest_max_frames_per_read = 0;  ///< Peak read-batch occupancy.
@@ -277,12 +273,10 @@ class SketchServer : private EpollServerBackend::Handler {
   const Options& options() const { return options_; }
 
  private:
-  /// Per-connection protocol state — shared with the epoll backend so
-  /// frame handlers are backend-agnostic.
+  /// Per-connection protocol state, owned by the epoll backend.
   using Connection = ServerConnection;
 
   void AcceptLoop();
-  void HandleConnection(int fd);
   void WorkerLoop(int shard_index);
 
   // EpollServerBackend::Handler — the epoll backend's protocol hooks.
@@ -314,7 +308,7 @@ class SketchServer : private EpollServerBackend::Handler {
                                Connection* connection);
   std::string RenderStats() const;
 
-  /// The one exactly-once admission path both backends funnel into:
+  /// The one exactly-once admission path every push funnels into:
   /// draining gate, dedup seen-check, all-or-nothing queue admission,
   /// epoch-bumping resolve, WAL append (fsync before ACK), dedup record,
   /// enqueue — all under push_mutex_. Views may borrow from the caller's
@@ -329,14 +323,6 @@ class SketchServer : private EpollServerBackend::Handler {
                         const std::vector<Update>& updates,
                         std::string_view raw_payload)
       SETSKETCH_EXCLUDES(push_mutex_, registry_mutex_);
-
-  /// Releases the lifecycle waiters after a SHUTDOWN ACK was handed to
-  /// the socket (both backends call this post-send).
-  void NotifyShutdownIfRequested(Connection* connection);
-
-  /// Folds one read batch into the ingest I/O counters.
-  void CountReadBatch(size_t bytes, size_t frames,
-                      size_t arena_high_watermark);
 
   /// Restores checkpoint + WAL tail from options_.wal_dir and opens a
   /// fresh WAL generation. Called by Start() before listening. False +
@@ -435,16 +421,11 @@ class SketchServer : private EpollServerBackend::Handler {
       0;  // Lifetime total, survives crashes.
   uint64_t bytes_at_last_checkpoint_ SETSKETCH_GUARDED_BY(push_mutex_) = 0;
 
-  // Sockets and connection handlers. The epoll backend (when selected)
-  // owns adopted connections; handler_threads_/open_fds_ serve the
-  // legacy thread-per-connection backend.
+  // Sockets. The acceptor hands every accepted connection to the epoll
+  // backend, which owns it from then on.
   int listen_fd_ = -1;
   int port_ = -1;
   std::thread acceptor_;
-  Mutex connections_mutex_;
-  std::vector<std::thread> handler_threads_
-      SETSKETCH_GUARDED_BY(connections_mutex_);
-  std::vector<int> open_fds_ SETSKETCH_GUARDED_BY(connections_mutex_);
   std::unique_ptr<EpollServerBackend> epoll_backend_;
 
   // Lifecycle.
@@ -480,7 +461,7 @@ class SketchServer : private EpollServerBackend::Handler {
   std::atomic<uint64_t> recoveries_{0};
   std::atomic<uint64_t> recovered_batches_{0};
   std::atomic<uint64_t> recovered_updates_{0};
-  // Ingest I/O fast-path counters (CountReadBatch).
+  // Ingest I/O counters (OnReadBatch).
   std::atomic<uint64_t> ingest_bytes_read_{0};
   std::atomic<uint64_t> ingest_read_calls_{0};
   std::atomic<uint64_t> ingest_max_frames_per_read_{0};

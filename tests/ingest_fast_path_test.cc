@@ -4,10 +4,11 @@
 // with ReadVarint on random and hostile input, the zero-copy
 // PUSH_UPDATES decode must agree with the legacy owning decode down to
 // the error strings, ScanFrame must agree with FrameDecoder under any
-// read chunking, and the epoll backend must produce bank and WAL state
-// bit-identical to the legacy thread-per-connection backend. A
-// TSan-targeted suite (IngestFastPathTsan, see tools/check.sh) stresses
-// concurrent push/query/shutdown through the epoll loop.
+// read chunking, and the served bank and WAL bytes must be bit-identical
+// to an in-process reference (SketchBank::ApplyBatch on the same batches,
+// direct Wal appends of their payloads). A TSan-targeted suite
+// (IngestFastPathTsan, see tools/check.sh) stresses concurrent
+// push/query/shutdown through the epoll loop.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -25,12 +26,14 @@
 #include <thread>
 #include <vector>
 
+#include "core/sketch_bank.h"
 #include "core/two_level_hash_sketch.h"
 #include "hash/prng.h"
 #include "server/ingest_arena.h"
 #include "server/protocol.h"
 #include "server/sketch_client.h"
 #include "server/sketch_server.h"
+#include "server/wal.h"
 #include "util/varint.h"
 #include "util/varint_bulk.h"
 
@@ -39,7 +42,7 @@ namespace {
 
 constexpr uint64_t kMasterSeed = 20030609;
 
-SketchServer::Options ServerOptions(IngestBackend backend) {
+SketchServer::Options ServerOptions() {
   SketchServer::Options options;
   options.params.levels = 24;
   options.params.num_second_level = 16;
@@ -48,7 +51,6 @@ SketchServer::Options ServerOptions(IngestBackend backend) {
   options.shards = 2;
   options.queue_capacity = 64;
   options.witness.pool_all_levels = true;
-  options.backend = backend;
   return options;
 }
 
@@ -424,7 +426,7 @@ TEST(IngestArenaTest, GrowsCompactsAndTracksHighWatermark) {
 // --- Epoll backend end to end ------------------------------------------
 
 TEST(EpollIngestTest, ServesPushQueryStatsOverEpollBackend) {
-  SketchServer server(ServerOptions(IngestBackend::kEpoll));
+  SketchServer server(ServerOptions());
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
@@ -462,33 +464,11 @@ TEST(EpollIngestTest, ServesPushQueryStatsOverEpollBackend) {
   EXPECT_EQ(stats.updates_applied, batch.updates.size());
 }
 
-/// Pushes a deterministic churned workload and returns the server's
-/// final bank plus its WAL directory bytes (path -> contents).
-struct IngestOutcome {
-  std::vector<std::string> stream_names;
-  std::vector<std::string> serialized_banks;
-  std::map<std::string, std::string> wal_files;
-};
-
-IngestOutcome RunWorkload(IngestBackend backend,
-                          const std::filesystem::path& wal_dir) {
-  std::filesystem::remove_all(wal_dir);
-  SketchServer::Options options = ServerOptions(backend);
-  options.wal_dir = wal_dir.string();
-  options.wal_fsync = false;
-  SketchServer server(options);
-  std::string error;
-  EXPECT_TRUE(server.Start(&error)) << error;
-
-  SketchClient::Options client_options;
-  client_options.port = server.port();
-  client_options.site_id = "identity-site";
-  auto client = SketchClient::Connect(client_options, &error);
-  EXPECT_NE(client, nullptr) << error;
-
+/// The deterministic churned workload of the bit-identity test.
+std::vector<UpdateBatch> IdentityWorkload() {
   Xoshiro256StarStar rng(kMasterSeed + 21);
-  for (int frame = 0; frame < 40; ++frame) {
-    UpdateBatch batch;
+  std::vector<UpdateBatch> batches(40);
+  for (UpdateBatch& batch : batches) {
     batch.stream_names = {"A", "B", "C"};
     const size_t count = 1 + rng.NextBelow(700);
     for (size_t i = 0; i < count; ++i) {
@@ -496,51 +476,104 @@ IngestOutcome RunWorkload(IngestBackend backend,
           Update{static_cast<StreamId>(rng.NextBelow(3)), rng.Next() % 9999,
                  rng.NextBelow(5) == 0 ? int64_t{-1} : int64_t{1}});
     }
-    const SketchClient::Status status = client->PushUpdatesWithRetry(batch);
-    EXPECT_TRUE(status.ok) << status.error;
   }
+  return batches;
+}
+
+/// Every file in `dir`, by name.
+std::map<std::string, std::string> ReadFiles(
+    const std::filesystem::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[entry.path().filename().string()] =
+        std::string((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  }
+  return files;
+}
+
+/// Each stream's r serialized sketches, in bank stream order.
+std::vector<std::string> SerializeBank(const SketchBank& bank) {
+  std::vector<std::string> serialized;
+  for (const std::string& name : bank.StreamNames()) {
+    std::string bytes;
+    for (const TwoLevelHashSketch& sketch : bank.Sketches(name)) {
+      sketch.SerializeTo(&bytes);
+    }
+    serialized.push_back(std::move(bytes));
+  }
+  return serialized;
+}
+
+TEST(EpollIngestTest, BankAndWalBitIdenticalToInProcessReference) {
+  const std::filesystem::path base =
+      std::filesystem::temp_directory_path() / "setsketch_identity_wal";
+  std::filesystem::remove_all(base);
+  const std::vector<UpdateBatch> batches = IdentityWorkload();
+  const std::string site = "identity-site";
+
+  // Served: one client pushes every batch over the wire.
+  SketchServer::Options options = ServerOptions();
+  options.wal_dir = (base / "served").string();
+  options.wal_fsync = false;
+  SketchServer server(options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  SketchClient::Options client_options;
+  client_options.port = server.port();
+  client_options.site_id = site;
+  auto client = SketchClient::Connect(client_options, &error);
+  ASSERT_NE(client, nullptr) << error;
+  for (const UpdateBatch& batch : batches) {
+    const SketchClient::Status status = client->PushUpdatesWithRetry(batch);
+    ASSERT_TRUE(status.ok) << status.error;
+  }
+  // Every ACKed batch is appended before its ACK; read the segments now,
+  // because a graceful stop folds them into the final checkpoint.
+  const std::map<std::string, std::string> served_wal =
+      ReadFiles(base / "served");
   client->Shutdown();
   server.Wait();
 
-  IngestOutcome outcome;
-  outcome.stream_names = server.bank().StreamNames();
-  for (const std::string& name : outcome.stream_names) {
-    std::string bytes;
-    for (const TwoLevelHashSketch& sketch : server.bank().Sketches(name)) {
-      sketch.SerializeTo(&bytes);
-    }
-    outcome.serialized_banks.push_back(std::move(bytes));
+  // Reference: the same batches through ApplyBatch, and their payloads
+  // (stamped with the client's sequences 1, 2, ...) through direct
+  // appends to a fresh WAL with the server's options.
+  SketchBank reference(
+      SketchFamily(options.params, options.copies, options.seed),
+      options.backend_size);
+  Wal::Options wal_options;
+  wal_options.dir = (base / "reference").string();
+  wal_options.shards = static_cast<size_t>(options.wal_shards);
+  wal_options.fsync = false;
+  std::unique_ptr<Wal> wal = Wal::Open(wal_options, 0, &error);
+  ASSERT_NE(wal, nullptr) << error;
+  for (const std::string& name : batches.front().stream_names) {
+    reference.AddStream(name);
   }
-  for (const auto& entry :
-       std::filesystem::directory_iterator(wal_dir)) {
-    std::ifstream in(entry.path(), std::ios::binary);
-    std::string contents((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-    outcome.wal_files[entry.path().filename().string()] =
-        std::move(contents);
+  for (size_t i = 0; i < batches.size(); ++i) {
+    const uint64_t sequence = client_options.first_sequence + i;
+    ASSERT_TRUE(wal->Append(site, sequence,
+                            EncodePushUpdates(batches[i], site, sequence),
+                            &error))
+        << error;
+    reference.ApplyBatch(batches[i].stream_names, batches[i].updates);
   }
-  std::filesystem::remove_all(wal_dir);
-  return outcome;
-}
+  wal.reset();
+  const std::map<std::string, std::string> reference_wal =
+      ReadFiles(base / "reference");
 
-TEST(EpollIngestTest, BankAndWalBitIdenticalToLegacyBackend) {
-  const std::filesystem::path base =
-      std::filesystem::temp_directory_path() / "setsketch_identity_wal";
-  const IngestOutcome legacy =
-      RunWorkload(IngestBackend::kThreaded, base / "legacy");
-  const IngestOutcome fast =
-      RunWorkload(IngestBackend::kEpoll, base / "fast");
-
-  ASSERT_EQ(fast.stream_names, legacy.stream_names);
-  ASSERT_EQ(fast.serialized_banks.size(), legacy.serialized_banks.size());
-  for (size_t i = 0; i < fast.serialized_banks.size(); ++i) {
-    EXPECT_EQ(fast.serialized_banks[i], legacy.serialized_banks[i])
-        << "bank state differs for stream " << fast.stream_names[i];
+  ASSERT_EQ(server.bank().StreamNames(), reference.StreamNames());
+  const std::vector<std::string> served_bank = SerializeBank(server.bank());
+  const std::vector<std::string> reference_bank = SerializeBank(reference);
+  for (size_t i = 0; i < served_bank.size(); ++i) {
+    EXPECT_EQ(served_bank[i], reference_bank[i])
+        << "bank state differs for stream " << reference.StreamNames()[i];
   }
-  ASSERT_EQ(fast.wal_files.size(), legacy.wal_files.size());
-  for (const auto& [name, contents] : legacy.wal_files) {
-    const auto it = fast.wal_files.find(name);
-    ASSERT_NE(it, fast.wal_files.end()) << "missing WAL file " << name;
+  ASSERT_EQ(served_wal.size(), reference_wal.size());
+  for (const auto& [name, contents] : reference_wal) {
+    const auto it = served_wal.find(name);
+    ASSERT_NE(it, served_wal.end()) << "missing WAL file " << name;
     EXPECT_EQ(it->second, contents) << "WAL bytes differ in " << name;
   }
   std::filesystem::remove_all(base);
@@ -577,7 +610,7 @@ std::string RecvFrame(int fd) {
 }
 
 TEST(EpollIngestTest, ReassemblesFramesTornAcrossReads) {
-  SketchServer server(ServerOptions(IngestBackend::kEpoll));
+  SketchServer server(ServerOptions());
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
   const int fd = ConnectTo(server.port());
@@ -606,7 +639,7 @@ TEST(EpollIngestTest, ReassemblesFramesTornAcrossReads) {
 }
 
 TEST(EpollIngestTest, ErrorBudgetClosesAbusiveConnection) {
-  SketchServer::Options options = ServerOptions(IngestBackend::kEpoll);
+  SketchServer::Options options = ServerOptions();
   options.max_connection_errors = 3;
   SketchServer server(options);
   std::string error;
@@ -648,7 +681,7 @@ TEST(EpollIngestTest, ErrorBudgetClosesAbusiveConnection) {
 }
 
 TEST(EpollIngestTest, HeaderCorruptionPoisonsStream) {
-  SketchServer server(ServerOptions(IngestBackend::kEpoll));
+  SketchServer server(ServerOptions());
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
   const int fd = ConnectTo(server.port());
@@ -669,7 +702,7 @@ TEST(EpollIngestTest, HeaderCorruptionPoisonsStream) {
 // --- TSan-targeted concurrency stress (see tools/check.sh) -------------
 
 TEST(IngestFastPathTsan, ConcurrentPushQueryShutdownOverEpoll) {
-  SketchServer::Options options = ServerOptions(IngestBackend::kEpoll);
+  SketchServer::Options options = ServerOptions();
   options.io_threads = 2;
   SketchServer server(options);
   std::string error;

@@ -4,8 +4,9 @@
 #   1. release   Release build + full test suite + bench smoke (the
 #                update-kernel, fault-tolerance, ingest-path and
 #                plan-cache JSON perf trajectories must validate; the
-#                ingest-path smoke also enforces the epoll-vs-legacy
-#                speedup floor by exit status).
+#                ingest-path smoke also enforces its admission gate by
+#                exit status: best served wal-off ns/update <= in-process
+#                ApplyBatch ns/update / 16, medians of 5 repeats).
 #   2. asan      AddressSanitizer build + full test suite (includes the
 #                epoll-backend integration tests).
 #   3. tsan      ThreadSanitizer build + the concurrency-sensitive tests
@@ -17,7 +18,9 @@
 #   5. chaos     AddressSanitizer build + the fault-tolerance suite
 #                (seeded fault injection, WAL corruption, crash
 #                recovery), then a real kill -9 crash/recover/dedup
-#                cycle driven end-to-end through the sketchtool CLI.
+#                cycle driven end-to-end through the sketchtool CLI
+#                (WAL replay, restored dedup index, all-duplicate
+#                re-push).
 #   6. cluster   AddressSanitizer build + the cluster suite (hash-ring
 #                placement, hello handshake, federated queries, chaos
 #                failover, self-healing repair, read policies, online
@@ -104,9 +107,10 @@ stage_release() {
     "${prefix}-release/bench/bench_fault_tolerance" >/dev/null
   python3 tools/validate_bench_json.py "${ft_json}"
 
-  # Ingest-path smoke: also enforces the >= 3x fast-vs-legacy loopback
-  # ingest speedup floor, SETSKETCH_INGEST_FLOOR (the bench exits
-  # nonzero below it), so the epoll/zero-copy/SIMD win cannot rot.
+  # Ingest-path smoke: also enforces the admission gate (the bench exits
+  # nonzero when the best served wal-off row costs more than in-process
+  # ApplyBatch / K, K = SETSKETCH_INGEST_FLOOR, default 16), so the
+  # served admission path cannot grow toward the cost of applying.
   echo "=== bench smoke (ingest-path JSON trajectory) ==="
   local ip_json="${prefix}-release/BENCH_ingest_path.smoke.json"
   SETSKETCH_BENCH_JSON="${ip_json}" SETSKETCH_BENCH_SCALE=0.05 \
@@ -188,11 +192,10 @@ stage_chaos() {
     return 1
   }
 
-  # First life runs the epoll fast path, the post-crash life the legacy
-  # threads backend: recovery across the pair proves the fast path wrote
-  # bit-identical WAL bytes (same batches, same dedup index).
+  # The post-crash life recovers the first life's WAL: the replayed
+  # batches and the restored dedup index must cover every ACKed push.
   "${tool}" serve --port 0 --copies 32 --wal-dir "${wal}" \
-    --backend epoll > "${dir}/serve1.log" &
+    > "${dir}/serve1.log" &
   local server_pid=$!
   local port
   port="$(wait_for_port "${dir}/serve1.log")"
@@ -204,7 +207,7 @@ stage_chaos() {
   wait "${server_pid}" 2>/dev/null || true
 
   "${tool}" serve --port 0 --copies 32 --wal-dir "${wal}" \
-    --backend threads > "${dir}/serve2.log" &
+    > "${dir}/serve2.log" &
   server_pid=$!
   port="$(wait_for_port "${dir}/serve2.log")"
   # Recovery restored the dedup index too: re-running the exact same
@@ -272,19 +275,17 @@ stage_cluster() {
     return 1
   }
 
-  # Three WAL-backed shards on the epoll fast path, one fault-free
-  # reference server on the legacy threads backend: every bit-identity
-  # comparison below is therefore also a cross-backend equivalence check.
+  # Three WAL-backed shards and one fault-free single-node reference
+  # server: every federated answer below must match the reference's.
   local shard_pids=() shard_ports=()
   for i in 0 1 2; do
     "${tool}" serve --port 0 --copies 32 --wal-dir "${dir}/wal${i}" \
-      --backend epoll > "${dir}/shard${i}.log" &
+      > "${dir}/shard${i}.log" &
     shard_pids[i]=$!
     shard_ports[i]="$(wait_for_announce "${dir}/shard${i}.log" \
       'listening on')"
   done
-  "${tool}" serve --port 0 --copies 32 --backend threads \
-    > "${dir}/ref.log" &
+  "${tool}" serve --port 0 --copies 32 > "${dir}/ref.log" &
   local ref_pid=$!
   local ref_port
   ref_port="$(wait_for_announce "${dir}/ref.log" 'listening on')"
@@ -427,7 +428,7 @@ stage_cluster() {
   # federated answer never drifts from the fault-free reference —
   # before, during, and after the membership change.
   "${tool}" serve --port 0 --copies 32 --wal-dir "${dir}/wal3" \
-    --backend epoll > "${dir}/shard3.log" &
+    > "${dir}/shard3.log" &
   local shard3_pid=$!
   local shard3_port
   shard3_port="$(wait_for_announce "${dir}/shard3.log" 'listening on')"

@@ -11,9 +11,9 @@ configured to emit. Benches are keyed by the marker:
                     per-update/batched bank x r)
   fault_tolerance   bench_fault_tolerance (loopback ingest with the WAL
                     off / on without fsync / on with fsync)
-  ingest_path       bench_ingest_path (epoll/zero-copy/SIMD fast path
-                    vs the legacy thread-per-connection loop, wal
-                    off/nofsync/fsync, client batch-width sweep)
+  ingest_path       bench_ingest_path (served admission, wal
+                    off/nofsync/fsync and a client batch-width sweep,
+                    vs in-process ApplyBatch; also the gate fields)
   plan_cache        bench_plan_cache (repeated-query throughput: cold
                     direct/replan vs hot/equivalent cache hits, epoch
                     invalidation re-merge, served loopback QUERY path)
@@ -57,14 +57,12 @@ EXPECTED_BY_BENCH = {
         "LoopbackIngest/wal_fsync",
     ],
     "ingest_path": [
-        "IngestPath/legacy_wal_off",
         "IngestPath/fast_wal_off",
-        "IngestPath/legacy_wal_nofsync",
         "IngestPath/fast_wal_nofsync",
-        "IngestPath/legacy_wal_fsync",
         "IngestPath/fast_wal_fsync",
         "IngestPath/fast_batch_16384",
         "IngestPath/fast_batch_65536",
+        "IngestPath/apply_in_process",
     ],
     "plan_cache": [
         "PlanCacheQuery/cold_direct",
@@ -89,6 +87,17 @@ EXPECTED_BY_BENCH = {
         for backend in ("two_level", "theta_kmv", "set_sketch",
                         "kmv_baseline")
     ],
+}
+
+# Top-level numeric fields a bench's file must carry besides its sweep
+# (the inputs and threshold of an exit-status gate).
+REQUIRED_FIELDS_BY_BENCH = {
+    "ingest_path": (
+        "apply_ns_per_update",
+        "best_fast_wal_off_ns_per_update",
+        "gate_k",
+        "gate_threshold_ns_per_update",
+    ),
 }
 
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*/[A-Za-z0-9_]+$")
@@ -135,6 +144,9 @@ def validate_file(path):
         r.get("name"): r for r in raw_results if isinstance(r, dict)
     }
     failures = []
+    for field in REQUIRED_FIELDS_BY_BENCH.get(bench, ()):
+        if not isinstance(doc.get(field), (int, float)):
+            failures.append(f"missing numeric field {field}")
     for name in expected:
         entry = results.get(name)
         if entry is None:
