@@ -15,9 +15,13 @@
 // this configuration it costs thousands of ns/update, against tens to
 // hundreds for the served rows.
 //
-// Every row is the median of kRepeats runs (repeats interleave the rows,
-// so drift on a shared machine spreads over all of them); the JSON also
-// carries each row's quartiles.
+// Every row is the median of kRepeats samples (repeats interleave the
+// rows, so drift on a shared machine spreads over all of them); the JSON
+// also carries each row's quartiles. One sample repeats its mode's pass
+// over the workload — each served pass on a fresh server — until the
+// timed parts together last kMinSampleSeconds, and reports their summed
+// time over their summed updates: a single served pass lasts only tens of
+// milliseconds, so one descheduling would otherwise move a whole sample.
 //
 // Exit status enforces the admission gate: the best served wal-off row
 // must satisfy ns/update <= apply_in_process ns/update / K, with K from
@@ -53,6 +57,7 @@ using namespace setsketch;
 namespace {
 
 constexpr int kRepeats = 5;
+constexpr double kMinSampleSeconds = 0.25;
 constexpr size_t kApplyBatch = 4096;
 constexpr int kCopies = 128;
 constexpr uint64_t kSeed = 20030609;
@@ -65,9 +70,13 @@ struct Mode {
   size_t batch_size = 4096;
 };
 
-/// One run of one mode: wall time plus the server's read counters.
+/// One pass, or one sample of passes, of one mode: timed wall time and
+/// updates pushed or applied, plus the server's read counters of the
+/// last pass.
 struct Sample {
   double seconds = 0.0;
+  double updates = 0.0;
+  int passes = 0;
   uint64_t bytes_read = 0;
   uint64_t read_calls = 0;
   uint64_t frames_received = 0;
@@ -82,8 +91,8 @@ SketchParams BenchParams() {
 }
 
 /// Pushes every update through a fresh loopback server; false on error.
-bool RunServed(const Mode& mode, const std::vector<Update>& updates,
-               const std::vector<std::string>& names, Sample* sample) {
+bool RunServedPass(const Mode& mode, const std::vector<Update>& updates,
+                   const std::vector<std::string>& names, Sample* sample) {
   const std::filesystem::path wal_dir =
       std::filesystem::temp_directory_path() /
       ("setsketch_bench_ingest_" + mode.name);
@@ -129,6 +138,7 @@ bool RunServed(const Mode& mode, const std::vector<Update>& updates,
     }
   }
   sample->seconds = watch.Seconds();
+  sample->updates = static_cast<double>(updates.size());
   client->Shutdown();
   server.Wait();
   const SketchServer::StatsSnapshot stats = server.stats();
@@ -146,8 +156,8 @@ bool RunServed(const Mode& mode, const std::vector<Update>& updates,
 }
 
 /// Applies every update to a fresh bank in kApplyBatch-update calls.
-Sample RunApply(const std::vector<Update>& updates,
-                const std::vector<std::string>& names) {
+Sample RunApplyPass(const std::vector<Update>& updates,
+                    const std::vector<std::string>& names) {
   SketchBank bank(SketchFamily(BenchParams(), kCopies, kSeed));
   for (const std::string& name : names) bank.AddStream(name);
   Sample sample;
@@ -159,7 +169,28 @@ Sample RunApply(const std::vector<Update>& updates,
     bank.ApplyBatch(names, batch);
   }
   sample.seconds = watch.Seconds();
+  sample.updates = static_cast<double>(updates.size());
   return sample;
+}
+
+/// One sample of `mode`: passes until their timed parts last
+/// kMinSampleSeconds; false on a served error.
+bool RunSample(const Mode& mode, const std::vector<Update>& updates,
+               const std::vector<std::string>& names, Sample* sample) {
+  *sample = Sample();
+  while (sample->seconds < kMinSampleSeconds) {
+    Sample pass;
+    if (!mode.served) {
+      pass = RunApplyPass(updates, names);
+    } else if (!RunServedPass(mode, updates, names, &pass)) {
+      return false;
+    }
+    pass.seconds += sample->seconds;
+    pass.updates += sample->updates;
+    pass.passes = sample->passes + 1;
+    *sample = pass;
+  }
+  return true;
 }
 
 std::string FormatJsonDouble(double value) {
@@ -184,11 +215,11 @@ int main() {
   churn.seed = 7;
   updates = InjectChurn(updates, churn);
   const std::vector<std::string> names = {"A", "B"};
-  const double num_updates = static_cast<double>(updates.size());
 
   std::cout << "ingest-path bench: " << updates.size()
             << " updates, 2 streams (scale=" << scale << ", " << kRepeats
-            << " repeats, gate K=" << gate_k << ")\n\n";
+            << " samples of >= " << kMinSampleSeconds << " s, gate K="
+            << gate_k << ")\n\n";
 
   const std::vector<Mode> modes = {
       {"fast_wal_off", true, false, false, 4096},
@@ -202,31 +233,29 @@ int main() {
   for (int repeat = 0; repeat < kRepeats; ++repeat) {
     for (size_t m = 0; m < modes.size(); ++m) {
       Sample sample;
-      if (!modes[m].served) {
-        sample = RunApply(updates, names);
-      } else if (!RunServed(modes[m], updates, names, &sample)) {
-        return 1;
-      }
+      if (!RunSample(modes[m], updates, names, &sample)) return 1;
       samples[m].push_back(sample);
     }
   }
 
   TablePrinter table({"mode", "ns/update", "q1", "q3", "updates/s",
-                      "frames/read", "bytes read"});
+                      "passes", "frames/read", "bytes read"});
   std::ostringstream rows;
   double apply_ns = 0.0;
   double best_fast_wal_off_ns = 0.0;
   for (size_t m = 0; m < modes.size(); ++m) {
     const Mode& mode = modes[m];
     std::vector<double> ns;
+    std::vector<double> passes;
     for (const Sample& sample : samples[m]) {
-      ns.push_back(sample.seconds * 1e9 / num_updates);
+      ns.push_back(sample.seconds * 1e9 / sample.updates);
+      passes.push_back(sample.passes);
     }
     const double median = Median(ns);
     const double q1 = Quantile(ns, 0.25);
     const double q3 = Quantile(ns, 0.75);
     // Socket counters are deterministic up to read chunking; report the
-    // last run's.
+    // last pass's.
     const Sample& last = samples[m].back();
     if (!mode.served) apply_ns = median;
     if (mode.served && !mode.wal &&
@@ -240,11 +269,13 @@ int main() {
     table.AddRow(std::vector<std::string>{
         mode.name, FormatDouble(median, 1), FormatDouble(q1, 1),
         FormatDouble(q3, 1), FormatDouble(1e9 / median, 0),
-        FormatDouble(frames_per_read, 2), std::to_string(last.bytes_read)});
+        FormatDouble(Median(passes), 0), FormatDouble(frames_per_read, 2),
+        std::to_string(last.bytes_read)});
     rows << (m == 0 ? "" : ",\n") << "    {\"name\": \"IngestPath/"
          << mode.name << "\", \"ns_per_op\": " << FormatJsonDouble(median)
          << ", \"ns_per_op_q1\": " << FormatJsonDouble(q1)
          << ", \"ns_per_op_q3\": " << FormatJsonDouble(q3)
+         << ", \"passes_per_sample\": " << FormatJsonDouble(Median(passes))
          << ", \"bytes_read\": " << last.bytes_read
          << ", \"read_calls\": " << last.read_calls
          << ", \"max_frames_per_read\": " << last.max_frames_per_read << "}";
@@ -266,6 +297,8 @@ int main() {
   out << "  \"scale\": " << FormatJsonDouble(scale) << ",\n";
   out << "  \"updates\": " << updates.size() << ",\n";
   out << "  \"repeats\": " << kRepeats << ",\n";
+  out << "  \"min_sample_seconds\": " << FormatJsonDouble(kMinSampleSeconds)
+      << ",\n";
   out << "  \"apply_ns_per_update\": " << FormatJsonDouble(apply_ns)
       << ",\n";
   out << "  \"best_fast_wal_off_ns_per_update\": "

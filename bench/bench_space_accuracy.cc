@@ -10,12 +10,15 @@
 
 #include <cstdint>
 #include <iostream>
+#include <memory>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/set_intersection_estimator.h"
 #include "core/set_union_estimator.h"
 #include "core/sketch_bank.h"
+#include "core/sketch_seed.h"
+#include "core/two_level_hash_sketch.h"
 #include "stream/stream_generator.h"
 #include "util/csv_writer.h"
 #include "util/stats.h"
@@ -72,15 +75,16 @@ int Run() {
     }
   }
 
+  // Update-stream regime: the 64-bit counters one sketch stores.
+  const double sketch_counter_bytes = static_cast<double>(
+      TwoLevelHashSketch(std::make_shared<const SketchSeed>(params, 0))
+          .CounterBytes());
   for (size_t i = 0; i < kSketchCounts.size(); ++i) {
     const int r = kSketchCounts[i];
     // The paper's rough accounting: #sketches x 32 bytes (bit cells,
     // insert-only regime).
     const double paper_bytes = static_cast<double>(r) * 32.0;
-    // Update-stream regime: 64-bit counters at levels x s x 2 cells.
-    const double counter_bytes =
-        static_cast<double>(r) * params.levels * params.num_second_level *
-        2.0 * 8.0;
+    const double counter_bytes = static_cast<double>(r) * sketch_counter_bytes;
     const double error =
         TrimmedMeanDropHighest(errors[i], bench::kTrimFraction) * 100;
     table.AddRow(std::vector<std::string>{

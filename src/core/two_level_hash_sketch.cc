@@ -3,11 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
-#if defined(__x86_64__) && defined(__GNUC__)
-#define SETSKETCH_SCATTER_AVX2 1
-#include <immintrin.h>
-#endif
-
+#include "core/mask_add.h"
 #include "util/check.h"
 #include "util/varint.h"
 
@@ -31,149 +27,43 @@ bool ReadPod(const std::string& data, size_t* offset, T* value) {
   return true;
 }
 
-/// Portable counter-scatter kernel for the sliced update paths (the AVX2
-/// variant below takes over when the CPU supports it): adds `delta` to
-/// the cell selected by bit j of `mask` for each of `s` second-level
-/// pairs, maintaining the nonzero-cell count. Zero transitions are rare
-/// once counters are warm, so a predicted not-taken branch beats updating
-/// the count branchlessly every cell. Templated on the pair count so the
-/// common widths get a fully unrolled loop (a runtime trip count costs
-/// ~2x here); `kAnyWidth` keeps one shared instantiation for the rest.
-constexpr int kAnyWidth = -1;
-
-template <int kWidth>
-void ScatterMask(int64_t* base, uint64_t mask, int64_t delta, int s,
-                 int64_t* nonzero_cells) {
-  const int count = kWidth == kAnyWidth ? s : kWidth;
-  for (int j = 0; j < count; ++j) {
-    int64_t& cell = base[2 * j + static_cast<int>((mask >> j) & 1ULL)];
-    const int64_t before = cell;
-    cell = before + delta;
-    if (before == 0) [[unlikely]] ++*nonzero_cells;
-    if (cell == 0) [[unlikely]] --*nonzero_cells;
-  }
-}
-
-#ifdef SETSKETCH_SCATTER_AVX2
-/// AVX2 variant of the scatter (compiled for every x86-64 build, entered
-/// only behind a __builtin_cpu_supports check): two counter pairs per
-/// 256-bit lane, with the touched cell of each pair selected by adding a
-/// precomputed addend row — (delta, 0) or (0, delta) per pair, indexed by
-/// two mask bits at a time. Zero transitions are detected branchlessly in
-/// the same pass (zero-ness of a lane changed <=> that cell transitioned;
-/// untouched cells never change), so the common case runs with a single
-/// predicted not-taken branch per update, and the rare slow path recovers
-/// each `before` as `cell - addend`.
-__attribute__((target("avx2"))) void ScatterMaskAvx2(int64_t* base,
-                                                     uint64_t mask,
-                                                     int64_t delta, int s,
-                                                     int64_t* nonzero_cells) {
-  // rows[p] is the addend quad for mask bit pair p = (b1 b0):
-  // (b0 ? (0, d) : (d, 0), b1 ? (0, d) : (d, 0)).
-  alignas(32) int64_t rows[4][4];
-  for (int p = 0; p < 4; ++p) {
-    rows[p][0] = (p & 1) ? 0 : delta;
-    rows[p][1] = (p & 1) ? delta : 0;
-    rows[p][2] = (p & 2) ? 0 : delta;
-    rows[p][3] = (p & 2) ? delta : 0;
-  }
-  const __m256i zero = _mm256_setzero_si256();
-  __m256i transitioned = zero;
-  int j = 0;
-  for (; j + 2 <= s; j += 2) {
-    __m256i* quad = reinterpret_cast<__m256i*>(base + 2 * j);
-    const __m256i before = _mm256_loadu_si256(quad);
-    const __m256i add = _mm256_load_si256(
-        reinterpret_cast<const __m256i*>(rows[(mask >> j) & 3ULL]));
-    const __m256i after = _mm256_add_epi64(before, add);
-    _mm256_storeu_si256(quad, after);
-    const __m256i before_zero = _mm256_cmpeq_epi64(before, zero);
-    const __m256i after_zero = _mm256_cmpeq_epi64(after, zero);
-    transitioned = _mm256_or_si256(
-        transitioned, _mm256_xor_si256(before_zero, after_zero));
-  }
-  const bool any = _mm256_movemask_epi8(transitioned) != 0;
-  if (j < s) {  // odd s: last pair takes the scalar path.
-    int64_t& cell = base[2 * j + static_cast<int>((mask >> j) & 1ULL)];
-    const int64_t before = cell;
-    cell = before + delta;
-    if (before == 0) [[unlikely]] ++*nonzero_cells;
-    if (cell == 0) [[unlikely]] --*nonzero_cells;
-  }
-  if (any) [[unlikely]] {
-    const int vectored = s & ~1;
-    for (int k = 0; k < vectored; ++k) {
-      const int64_t cell = base[2 * k + static_cast<int>((mask >> k) & 1ULL)];
-      const int64_t before = cell - delta;
-      *nonzero_cells += static_cast<int>(before == 0) -
-                        static_cast<int>(cell == 0);
-    }
-  }
-}
-
-bool ScatterHasAvx2() { return __builtin_cpu_supports("avx2"); }
-#endif  // SETSKETCH_SCATTER_AVX2
-
 }  // namespace
 
 TwoLevelHashSketch::TwoLevelHashSketch(std::shared_ptr<const SketchSeed> seed)
     : seed_(std::move(seed)),
+      num_levels_(seed_->params().levels),
       num_second_level_(seed_->params().num_second_level),
       slice_(seed_->slice()),
-      counters_(static_cast<size_t>(seed_->params().levels) *
-                    static_cast<size_t>(num_second_level_) * 2,
-                0) {}
-
-void TwoLevelHashSketch::ApplyMask(int level, uint64_t mask, int64_t delta) {
-  SETSKETCH_DCHECK(level >= 0 && level < seed_->params().levels)
-      << "level out of range";
-  int64_t* base = counters_.data() + CellIndex(level, 0, 0);
-  const int s = num_second_level_;
-#ifdef SETSKETCH_SCATTER_AVX2
-  static const bool use_avx2 = ScatterHasAvx2();
-  if (use_avx2) {
-    ScatterMaskAvx2(base, mask, delta, s, &nonzero_cells_);
-    return;
-  }
-#endif
-  switch (s) {
-    case 8:
-      ScatterMask<8>(base, mask, delta, s, &nonzero_cells_);
-      break;
-    case 16:
-      ScatterMask<16>(base, mask, delta, s, &nonzero_cells_);
-      break;
-    case 32:
-      ScatterMask<32>(base, mask, delta, s, &nonzero_cells_);
-      break;
-    case 64:
-      ScatterMask<64>(base, mask, delta, s, &nonzero_cells_);
-      break;
-    default:
-      ScatterMask<kAnyWidth>(base, mask, delta, s, &nonzero_cells_);
-      break;
-  }
-}
+      cells_(static_cast<size_t>(num_levels_) *
+                 (static_cast<size_t>(num_second_level_) + 1),
+             0) {}
 
 void TwoLevelHashSketch::Update(uint64_t element, int64_t delta) {
   if (slice_ == nullptr) {  // s > 64: per-function evaluation.
     UpdateScalar(element, delta);
     return;
   }
-  ApplyMask(seed_->Level(element), slice_->Bits(element), delta);
+  const int level = seed_->Level(element);
+  const uint64_t mask = slice_->Bits(element);
+  const uint64_t add = static_cast<uint64_t>(delta);
+  nonzero_cells_ +=
+      BestMaskAdd()(cells_.data(), cells_.data() + OnesOffset(0),
+                    num_second_level_, &level, &mask, &add, 1);
 }
 
 void TwoLevelHashSketch::UpdateScalar(uint64_t element, int64_t delta) {
   const int level = seed_->Level(element);
-  int64_t* base = counters_.data() + CellIndex(level, 0, 0);
+  const uint64_t add = static_cast<uint64_t>(delta);
+  int64_t change = AddCounted(&cells_[level], add);
+  uint64_t* row = cells_.data() + OnesOffset(level);
   for (int j = 0; j < num_second_level_; ++j) {
-    const int bit = seed_->second_level(j)(element);
-    int64_t& cell = base[2 * j + bit];
-    const int64_t before = cell;
-    cell = before + delta;
-    if (before == 0) [[unlikely]] ++nonzero_cells_;
-    if (cell == 0) [[unlikely]] --nonzero_cells_;
+    // Branch-free select: the bits are coin flips, a branch would miss
+    // half the time.
+    const uint64_t select = 0 - static_cast<uint64_t>(
+                                    seed_->second_level(j)(element));
+    change += AddCounted(&row[j], add & select);
   }
+  nonzero_cells_ += change;
 }
 
 void TwoLevelHashSketch::UpdateBatch(std::span<const ElementDelta> batch) {
@@ -181,22 +71,25 @@ void TwoLevelHashSketch::UpdateBatch(std::span<const ElementDelta> batch) {
     for (const ElementDelta& u : batch) UpdateScalar(u.element, u.delta);
     return;
   }
-  // Hash a block ahead of the counter scatter: the (level, mask) loop is
-  // pure computation, the scatter loop is mostly memory traffic, and
+  // Hash a block ahead of the counter writes: the (level, mask) loop is
+  // pure computation, the masked adds are mostly memory traffic, and
   // splitting them keeps both pipelines full.
   constexpr size_t kBlock = 64;
   int level[kBlock];
   uint64_t mask[kBlock];
+  uint64_t add[kBlock];
   const SketchSeed& seed = *seed_;
+  const MaskAddFn kernel = BestMaskAdd();
+  uint64_t* ones = cells_.data() + OnesOffset(0);
   for (size_t i = 0; i < batch.size(); i += kBlock) {
     const size_t n = std::min(kBlock, batch.size() - i);
     for (size_t k = 0; k < n; ++k) {
       level[k] = seed.Level(batch[i + k].element);
       mask[k] = slice_->Bits(batch[i + k].element);
+      add[k] = static_cast<uint64_t>(batch[i + k].delta);
     }
-    for (size_t k = 0; k < n; ++k) {
-      ApplyMask(level[k], mask[k], batch[i + k].delta);
-    }
+    nonzero_cells_ += kernel(cells_.data(), ones, num_second_level_, level,
+                             mask, add, n);
   }
 }
 
@@ -204,15 +97,12 @@ bool TwoLevelHashSketch::Merge(const TwoLevelHashSketch& other) {
   if (!(*seed_ == *other.seed_)) return false;
   // Equal seeds imply equal params, hence equal counter shapes; anything
   // else means a sketch was corrupted after construction.
-  SETSKETCH_CHECK(counters_.size() == other.counters_.size())
+  SETSKETCH_CHECK(cells_.size() == other.cells_.size())
       << "seed-compatible sketches with mismatched counter arrays:"
-      << counters_.size() << "vs" << other.counters_.size();
-  for (size_t i = 0; i < counters_.size(); ++i) {
-    const int64_t before = counters_[i];
-    counters_[i] += other.counters_[i];
-    nonzero_cells_ +=
-        static_cast<int>(before == 0 && counters_[i] != 0) -
-        static_cast<int>(before != 0 && counters_[i] == 0);
+      << cells_.size() << "vs" << other.cells_.size();
+  // Totals and ones rows are both linear in the stream: cellwise sums.
+  for (size_t i = 0; i < cells_.size(); ++i) {
+    nonzero_cells_ += AddCounted(&cells_[i], other.cells_[i]);
   }
   SETSKETCH_DCHECK(nonzero_cells_ == RecountNonzeroCells())
       << "nonzero-cell count diverged from counters after Merge";
@@ -220,7 +110,7 @@ bool TwoLevelHashSketch::Merge(const TwoLevelHashSketch& other) {
 }
 
 void TwoLevelHashSketch::Clear() {
-  std::fill(counters_.begin(), counters_.end(), 0);
+  std::fill(cells_.begin(), cells_.end(), 0);
   nonzero_cells_ = 0;
 }
 
@@ -240,42 +130,111 @@ void AppendHeader(std::string* out, uint32_t magic, const SketchParams& p,
   AppendPod(out, seed_value);
 }
 
+/// Folds logical cells, read in encoding order X[l, 0, 0], X[l, 0, 1],
+/// X[l, 1, 0], ..., back into the stored layout: the first pair of a
+/// level sets its total, every pair stores its bit-1 cell, and a pair
+/// whose cells do not sum to the level total is refused.
+class CellFolder {
+ public:
+  CellFolder(uint64_t* totals, uint64_t* ones, int s)
+      : total_(totals), one_(ones), s_(s) {}
+
+  /// False iff `cell` completes a pair that contradicts its level total.
+  bool Put(uint64_t cell) {
+    if (!have_bit0_) {
+      bit0_ = cell;
+      have_bit0_ = true;
+      return true;
+    }
+    have_bit0_ = false;
+    const uint64_t sum = bit0_ + cell;
+    if (j_ == 0) {
+      *total_ = sum;
+    } else if (sum != *total_) {
+      return false;
+    }
+    *one_++ = cell;
+    if (++j_ == s_) {
+      j_ = 0;
+      ++total_;
+    }
+    return true;
+  }
+
+ private:
+  uint64_t* total_;
+  uint64_t* one_;
+  const int s_;
+  int j_ = 0;
+  bool have_bit0_ = false;
+  uint64_t bit0_ = 0;
+};
+
 }  // namespace
 
 void TwoLevelHashSketch::SerializeTo(std::string* out) const {
   // Exact output size up front: every PUSH_SUMMARY otherwise grows the
   // buffer through repeated reallocation.
-  out->reserve(out->size() + kHeaderBytes +
-               counters_.size() * sizeof(int64_t));
+  const size_t logical_cells =
+      2 * static_cast<size_t>(num_levels_) *
+      static_cast<size_t>(num_second_level_);
+  out->reserve(out->size() + kHeaderBytes + logical_cells * sizeof(int64_t));
   AppendHeader(out, kMagic, seed_->params(), seed_->seed_value());
-  // Counters are usually sparse in high levels but dense overall; a plain
-  // dump keeps the decoder trivial and the encoding O(levels * s).
-  for (int64_t c : counters_) AppendPod(out, c);
+  // Every logical cell, row by row: a plain dump keeps the decoder
+  // trivial and the encoding O(levels * s).
+  const uint64_t* one = cells_.data() + OnesOffset(0);
+  for (int level = 0; level < num_levels_; ++level) {
+    const uint64_t total = cells_[level];
+    for (int j = 0; j < num_second_level_; ++j, ++one) {
+      AppendPod(out, static_cast<int64_t>(total - *one));
+      AppendPod(out, static_cast<int64_t>(*one));
+    }
+  }
 }
 
 void TwoLevelHashSketch::SerializeCompactTo(std::string* out) const {
-  // Upper bound on the token stream: <= 10 varint bytes per nonzero cell
-  // and <= nonzero + 1 zero runs of <= 11 bytes (token + run length).
-  const size_t nonzero = static_cast<size_t>(nonzero_cells_);
+  // Upper bound on the token stream: <= 10 varint bytes per nonzero
+  // logical cell and <= nonzero + 1 zero runs of <= 11 bytes (token + run
+  // length). A nonzero ones cell makes at most two logical cells nonzero;
+  // a nonzero total at most s (one per pair, when its ones are zero).
+  size_t nonzero_totals = 0;
+  for (int level = 0; level < num_levels_; ++level) {
+    nonzero_totals += static_cast<size_t>(cells_[level] != 0);
+  }
+  const size_t nonzero =
+      2 * (static_cast<size_t>(nonzero_cells_) - nonzero_totals) +
+      static_cast<size_t>(num_second_level_) * nonzero_totals;
   out->reserve(out->size() + kHeaderBytes + 10 * nonzero +
                11 * (nonzero + 1));
   AppendHeader(out, kMagicCompact, seed_->params(), seed_->seed_value());
-  // Token stream: a zero token is followed by a run length; any nonzero
-  // token is zigzag(counter), which is nonzero for every nonzero counter,
-  // so the two cases disambiguate.
-  size_t i = 0;
-  while (i < counters_.size()) {
-    if (counters_[i] == 0) {
-      size_t run = 1;
-      while (i + run < counters_.size() && counters_[i + run] == 0) ++run;
-      AppendVarint(out, 0);
-      AppendVarint(out, run);
-      i += run;
-    } else {
-      AppendVarint(out, ZigZagEncode(counters_[i]));
-      ++i;
+  // Token stream over the logical cells: a zero token is followed by a
+  // run length; any nonzero token is zigzag(counter), which is nonzero
+  // for every nonzero counter, so the two cases disambiguate. Runs are
+  // maximal, so they may span pairs and levels.
+  uint64_t zero_run = 0;
+  const auto end_run = [&] {
+    if (zero_run == 0) return;
+    AppendVarint(out, 0);
+    AppendVarint(out, zero_run);
+    zero_run = 0;
+  };
+  const auto emit = [&](uint64_t cell) {
+    if (cell == 0) {
+      ++zero_run;
+      return;
+    }
+    end_run();
+    AppendVarint(out, ZigZagEncode(static_cast<int64_t>(cell)));
+  };
+  const uint64_t* one = cells_.data() + OnesOffset(0);
+  for (int level = 0; level < num_levels_; ++level) {
+    const uint64_t total = cells_[level];
+    for (int j = 0; j < num_second_level_; ++j, ++one) {
+      emit(total - *one);
+      emit(*one);
     }
   }
+  end_run();
 }
 
 std::unique_ptr<TwoLevelHashSketch> TwoLevelHashSketch::Deserialize(
@@ -306,45 +265,50 @@ std::unique_ptr<TwoLevelHashSketch> TwoLevelHashSketch::Deserialize(
   }
   auto sketch = std::make_unique<TwoLevelHashSketch>(
       std::make_shared<const SketchSeed>(params, seed_value));
+  CellFolder folder(sketch->cells_.data(),
+                    sketch->cells_.data() + sketch->OnesOffset(0), s);
+  const size_t n = 2 * static_cast<size_t>(levels) * static_cast<size_t>(s);
   if (magic == kMagic) {
-    for (int64_t& c : sketch->counters_) {
-      if (!ReadPod(data, offset, &c)) return nullptr;
-      sketch->nonzero_cells_ += static_cast<int>(c != 0);
+    for (size_t i = 0; i < n; ++i) {
+      int64_t cell = 0;
+      if (!ReadPod(data, offset, &cell)) return nullptr;
+      if (!folder.Put(static_cast<uint64_t>(cell))) return nullptr;
     }
-    return sketch;
-  }
-  // Compact decoding: zigzag varints with zero-run-length tokens.
-  size_t i = 0;
-  const size_t n = sketch->counters_.size();
-  while (i < n) {
-    uint64_t token = 0;
-    if (!ReadVarint(data, offset, &token)) return nullptr;
-    if (token == 0) {
-      uint64_t run = 0;
-      if (!ReadVarint(data, offset, &run)) return nullptr;
-      if (run == 0 || run > n - i) return nullptr;  // Corrupt run.
-      i += run;  // Cells already zero-initialized.
-    } else {
-      // ZigZagDecode(token) != 0 whenever token != 0, so every non-run
-      // token is one nonzero cell.
-      sketch->counters_[i] = ZigZagDecode(token);
-      ++sketch->nonzero_cells_;
-      ++i;
+  } else {
+    // Compact decoding: zigzag varints with zero-run-length tokens.
+    size_t i = 0;
+    while (i < n) {
+      uint64_t token = 0;
+      if (!ReadVarint(data, offset, &token)) return nullptr;
+      if (token == 0) {
+        uint64_t run = 0;
+        if (!ReadVarint(data, offset, &run)) return nullptr;
+        if (run == 0 || run > n - i) return nullptr;  // Corrupt run.
+        for (uint64_t k = 0; k < run; ++k) {
+          if (!folder.Put(0)) return nullptr;
+        }
+        i += run;
+      } else {
+        if (!folder.Put(static_cast<uint64_t>(ZigZagDecode(token)))) {
+          return nullptr;
+        }
+        ++i;
+      }
     }
   }
-  SETSKETCH_DCHECK(sketch->nonzero_cells_ == sketch->RecountNonzeroCells())
-      << "nonzero-cell count diverged after compact decode";
+  sketch->nonzero_cells_ = sketch->RecountNonzeroCells();
   return sketch;
 }
 
 int64_t TwoLevelHashSketch::RecountNonzeroCells() const {
   int64_t nonzero = 0;
-  for (const int64_t c : counters_) nonzero += static_cast<int>(c != 0);
+  for (const uint64_t c : cells_) nonzero += static_cast<int64_t>(c != 0);
   return nonzero;
 }
 
 bool operator==(const TwoLevelHashSketch& a, const TwoLevelHashSketch& b) {
-  return *a.seed_ == *b.seed_ && a.counters_ == b.counters_;
+  // The stored cells determine the logical ones (and vice versa).
+  return *a.seed_ == *b.seed_ && a.cells_ == b.cells_;
 }
 
 }  // namespace setsketch

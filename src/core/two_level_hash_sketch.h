@@ -9,6 +9,16 @@
 // no trace (the paper's key robustness property), and sketches of disjoint
 // stream fragments combine by plain counter addition (used by the
 // distributed model).
+//
+// Stored layout. The two cells of every pair sum to the level total,
+// X[l, j, 0] + X[l, j, 1] = T[l], so only half of them are stored: one
+// allocation holds the `levels` totals T[l], then a levels x s "ones"
+// array with row l holding X[l, j, 1]. X[l, j, 0] is derived as
+// T[l] - X[l, j, 1]. An update is T[level] += v plus a masked add of v
+// into the level's ones row (core/mask_add.h). Counters are uint64_t
+// words, added mod 2^64; Count() reads them as two's-complement int64.
+// The encodings still carry every logical cell, so their bytes do not
+// depend on this layout.
 
 #ifndef SETSKETCH_CORE_TWO_LEVEL_HASH_SKETCH_H_
 #define SETSKETCH_CORE_TWO_LEVEL_HASH_SKETCH_H_
@@ -54,13 +64,23 @@ class TwoLevelHashSketch {
 
   /// Counter X[level, j, bit] (the paper's X[i1, i2, i3]).
   int64_t Count(int level, int j, int bit) const {
-    return counters_[CellIndex(level, j, bit)];
+    const uint64_t one = OnesRow(level)[static_cast<size_t>(j)];
+    return static_cast<int64_t>(bit != 0 ? one : cells_[level] - one);
   }
 
   /// Total element count (sum of net frequencies) mapped to `level`.
-  /// Equals Count(level, j, 0) + Count(level, j, 1) for every j.
+  /// Equals Count(level, j, 0) + Count(level, j, 1) for every j (mod 2^64).
   int64_t LevelTotal(int level) const {
-    return Count(level, 0, 0) + Count(level, 0, 1);
+    return static_cast<int64_t>(cells_[level]);
+  }
+
+  /// The stored ones row of `level`: row[j] is Count(level, j, 1) as a
+  /// two's-complement word, and Count(level, j, 0) is LevelTotal(level) -
+  /// row[j] mod 2^64. Lets per-bucket readers scan a level without
+  /// deriving the other cell of each pair.
+  std::span<const uint64_t> OnesRow(int level) const {
+    return {cells_.data() + OnesOffset(level),
+            static_cast<size_t>(num_second_level_)};
   }
 
   /// True iff no element with nonzero net frequency maps to `level`.
@@ -76,11 +96,12 @@ class TwoLevelHashSketch {
 
   /// True iff every counter is zero. O(1): Update/Merge/Clear/Deserialize
   /// maintain the nonzero-cell count (the coordinator and property checks
-  /// call this per query).
+  /// call this per query). All stored cells are zero exactly when all
+  /// logical cells are.
   bool Empty() const { return nonzero_cells_ == 0; }
 
-  /// Number of counter cells currently nonzero (the invariant behind
-  /// Empty(); exposed for tests).
+  /// Number of *stored* cells currently nonzero — level totals plus ones
+  /// counters (the invariant behind Empty(); exposed for tests).
   int64_t NonzeroCells() const { return nonzero_cells_; }
 
   const SketchSeed& seed() const { return *seed_; }
@@ -90,8 +111,9 @@ class TwoLevelHashSketch {
   int levels() const { return seed_->params().levels; }
   int num_second_level() const { return seed_->params().num_second_level; }
 
-  /// Size of the counter array in bytes (the synopsis' dominant cost).
-  size_t CounterBytes() const { return counters_.size() * sizeof(int64_t); }
+  /// Size of the stored counters in bytes (the synopsis' dominant cost):
+  /// levels * (s + 1) words.
+  size_t CounterBytes() const { return cells_.size() * sizeof(uint64_t); }
 
   /// Appends a portable binary encoding (params, seed value, counters) to
   /// `*out`. The encoding is self-delimiting. Fixed-width counters:
@@ -106,7 +128,9 @@ class TwoLevelHashSketch {
 
   /// Decodes a sketch previously written by SerializeTo or
   /// SerializeCompactTo starting at (*data)[*offset]; advances *offset
-  /// past it. Returns nullptr on a malformed or truncated encoding.
+  /// past it. Returns nullptr on a malformed or truncated encoding, and
+  /// on counters no stream can produce: a level whose pairs do not all
+  /// sum to the same total (mod 2^64).
   static std::unique_ptr<TwoLevelHashSketch> Deserialize(
       const std::string& data, size_t* offset);
 
@@ -115,32 +139,27 @@ class TwoLevelHashSketch {
                          const TwoLevelHashSketch& b);
 
  private:
-  size_t CellIndex(int level, int j, int bit) const {
-    return (static_cast<size_t>(level) *
-                static_cast<size_t>(num_second_level_) +
-            static_cast<size_t>(j)) *
-               2 +
-           static_cast<size_t>(bit);
+  /// Index in cells_ of the ones row of `level`.
+  size_t OnesOffset(int level) const {
+    return static_cast<size_t>(num_levels_) +
+           static_cast<size_t>(level) * static_cast<size_t>(num_second_level_);
   }
 
-  /// Scatters one update whose second-level bits are already evaluated
-  /// (bit j of `mask` selects the counter of pair j), tracking zero/nonzero
-  /// cell transitions.
-  void ApplyMask(int level, uint64_t mask, int64_t delta);
-
-  /// O(cells) ground-truth recount of nonzero counters — the invariant
-  /// behind Empty(); compared against nonzero_cells_ by debug checks
-  /// after bulk operations (Merge, compact decode).
+  /// O(cells) ground-truth recount of nonzero stored cells — the
+  /// invariant behind Empty(); sets nonzero_cells_ after a decode and is
+  /// compared against it by debug checks after Merge.
   int64_t RecountNonzeroCells() const;
 
   std::shared_ptr<const SketchSeed> seed_;
+  int num_levels_;
   int num_second_level_;
   /// Cached seed_->slice(); nullptr iff s > 64 (scalar fallback).
   const SecondLevelSlice* slice_;
-  /// Cache-line aligned: the server's shard workers partition adjacent
-  /// sketch copies, and alignment keeps the copy-range split from false
-  /// sharing a line across workers (util/aligned_alloc.h).
-  std::vector<int64_t, AlignedAllocator<int64_t>> counters_;
+  /// The level totals T[0..levels), then the ones rows. Cache-line
+  /// aligned: the server's shard workers partition adjacent sketch
+  /// copies, and alignment keeps the copy-range split from false sharing
+  /// a line across workers (util/aligned_alloc.h).
+  std::vector<uint64_t, AlignedAllocator<uint64_t>> cells_;
   int64_t nonzero_cells_ = 0;
 };
 

@@ -7,7 +7,9 @@
 // pins the nonzero-cell-count invariant behind the O(1) Empty().
 
 #include <algorithm>
+#include <cstdint>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -15,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/mask_add.h"
 #include "core/sketch_bank.h"
 #include "core/sketch_seed.h"
 #include "core/two_level_hash_sketch.h"
@@ -51,16 +54,42 @@ std::vector<ElementDelta> RandomItems(size_t n, uint64_t seed) {
   return items;
 }
 
+/// Nonzero *stored* cells: each level's total plus its ones counters
+/// X[level, j, 1] (the bit-0 cells are derived, not stored).
 int64_t BruteForceNonzero(const TwoLevelHashSketch& sketch) {
   int64_t nonzero = 0;
   for (int level = 0; level < sketch.levels(); ++level) {
+    nonzero += sketch.LevelTotal(level) != 0;
     for (int j = 0; j < sketch.num_second_level(); ++j) {
-      for (int bit = 0; bit < 2; ++bit) {
-        nonzero += sketch.Count(level, j, bit) != 0;
-      }
+      nonzero += sketch.Count(level, j, 1) != 0;
     }
   }
   return nonzero;
+}
+
+bool AllCountsZero(const TwoLevelHashSketch& sketch) {
+  for (int level = 0; level < sketch.levels(); ++level) {
+    for (int j = 0; j < sketch.num_second_level(); ++j) {
+      for (int bit = 0; bit < 2; ++bit) {
+        if (sketch.Count(level, j, bit) != 0) return false;
+      }
+    }
+  }
+  return true;
+}
+
+/// Every logical counter X[level, j, bit] of `a` equals `b`'s.
+void ExpectSameCounts(const TwoLevelHashSketch& a, const TwoLevelHashSketch& b,
+                      int s) {
+  for (int level = 0; level < a.levels(); ++level) {
+    for (int j = 0; j < s; ++j) {
+      for (int bit = 0; bit < 2; ++bit) {
+        ASSERT_EQ(a.Count(level, j, bit), b.Count(level, j, bit))
+            << "s=" << s << " level=" << level << " j=" << j
+            << " bit=" << bit;
+      }
+    }
+  }
 }
 
 TEST(SecondLevelSliceTest, BitsMatchScalarFamilyAcrossS) {
@@ -95,20 +124,44 @@ TEST(SecondLevelSliceTest, FallbackAboveSliceWidthHasNoSlice) {
 }
 
 TEST(BatchIngestTest, SlicedUpdateMatchesScalarBothFamilies) {
+  // Every logical Count() of the sliced Update and of UpdateBatch equals
+  // the per-function scalar reference's — through wide deltas that wrap
+  // too — and every pair sums to its level total (mod 2^64).
+  std::vector<int> sweep(std::begin(kSweepS), std::end(kSweepS));
+  sweep.push_back(kFallbackS);
   for (FirstLevelKind kind :
        {FirstLevelKind::kMix64, FirstLevelKind::kKWisePoly}) {
-    for (int s : kSweepS) {
+    for (int s : sweep) {
       const auto seed = std::make_shared<const SketchSeed>(
           ParamsWithS(s, kind), 4242 + s);
       TwoLevelHashSketch sliced(seed);
+      TwoLevelHashSketch batched(seed);
       TwoLevelHashSketch scalar(seed);
-      for (const ElementDelta& u : RandomItems(2000, 11 + s)) {
+      std::vector<ElementDelta> items = RandomItems(2000, 11 + s);
+      SplitMix64 sm(97 + s);
+      for (size_t i = 0; i < items.size(); i += 50) {
+        items[i].delta = static_cast<int64_t>(sm.Next());
+      }
+      for (const ElementDelta& u : items) {
         sliced.Update(u.element, u.delta);
         scalar.UpdateScalar(u.element, u.delta);
       }
+      batched.UpdateBatch(items);
       EXPECT_EQ(sliced, scalar) << "kind=" << static_cast<int>(kind)
                                 << " s=" << s;
+      ExpectSameCounts(sliced, scalar, s);
+      ExpectSameCounts(batched, scalar, s);
+      for (int level = 0; level < scalar.levels(); ++level) {
+        for (int j = 0; j < s; ++j) {
+          ASSERT_EQ(static_cast<uint64_t>(scalar.Count(level, j, 0)) +
+                        static_cast<uint64_t>(scalar.Count(level, j, 1)),
+                    static_cast<uint64_t>(scalar.LevelTotal(level)))
+              << "s=" << s << " level=" << level << " j=" << j;
+        }
+      }
       EXPECT_EQ(sliced.NonzeroCells(), scalar.NonzeroCells());
+      EXPECT_EQ(scalar.NonzeroCells(), BruteForceNonzero(scalar))
+          << "s=" << s;
     }
   }
 }
@@ -266,6 +319,109 @@ TEST(NonzeroCellsTest, SerializationRoundTripRestoresInvariant) {
     ASSERT_NE(decoded, nullptr);
     EXPECT_TRUE(decoded->Empty()) << "compact=" << compact;
     EXPECT_EQ(decoded->NonzeroCells(), 0);
+  }
+}
+
+TEST(NonzeroCellsTest, EmptyIffEveryCountIsZero) {
+  // Insert a random multiset, then delete it in a shuffled order: the
+  // sketch passes through many nonzero states and must end Empty().
+  for (int s : {1, 16, 33, 65}) {
+    const auto seed =
+        std::make_shared<const SketchSeed>(ParamsWithS(s), 55 + s);
+    TwoLevelHashSketch sketch(seed);
+    std::vector<ElementDelta> items = RandomItems(600, 61 + s);
+    std::vector<ElementDelta> inverse;
+    for (const ElementDelta& u : items) {
+      inverse.push_back(ElementDelta{u.element, -u.delta});
+    }
+    SplitMix64 sm(67 + s);
+    for (size_t i = inverse.size(); i > 1; --i) {
+      std::swap(inverse[i - 1], inverse[sm.Next() % i]);
+    }
+    items.insert(items.end(), inverse.begin(), inverse.end());
+    for (size_t i = 0; i < items.size(); ++i) {
+      sketch.Update(items[i].element, items[i].delta);
+      if (i % 7 == 0 || i + 1 == items.size()) {
+        ASSERT_EQ(sketch.Empty(), AllCountsZero(sketch))
+            << "s=" << s << " after " << i + 1 << " updates";
+        ASSERT_EQ(sketch.NonzeroCells(), BruteForceNonzero(sketch));
+      }
+    }
+    EXPECT_TRUE(sketch.Empty()) << "s=" << s;
+  }
+}
+
+// --- Masked-add kernels -------------------------------------------------
+
+TEST(MaskAddTest, EveryKernelMatchesPortable) {
+  const MaskAddFn portable = MaskAddFor(MaskAddKernel::kPortable);
+  ASSERT_NE(portable, nullptr);
+  EXPECT_NE(BestMaskAdd(), nullptr);
+  constexpr int kLevels = 4;
+  constexpr size_t kUpdates = 300;
+  for (MaskAddKernel kernel :
+       {MaskAddKernel::kPortable, MaskAddKernel::kAvx2,
+        MaskAddKernel::kAvx512}) {
+    const MaskAddFn fn = MaskAddFor(kernel);
+    if (fn == nullptr) continue;  // Not on this CPU or build.
+    for (int s : {1, 3, 4, 7, 8, 9, 16, 31, 32, 33, 63, 64}) {
+      SplitMix64 sm(1000 + s);
+      // Small counter values so adds often cross zero both ways.
+      std::vector<uint64_t> cells(kLevels * (s + 1));
+      for (uint64_t& c : cells) c = (sm.Next() % 3 == 0) ? sm.Next() % 3 : 0;
+      std::vector<int> levels(kUpdates);
+      std::vector<uint64_t> masks(kUpdates), deltas(kUpdates);
+      const uint64_t valid = s == 64 ? ~0ULL : (1ULL << s) - 1;
+      for (size_t k = 0; k < kUpdates; ++k) {
+        levels[k] = static_cast<int>(sm.Next() % kLevels);
+        // Bits at or above s must be ignored: half the masks carry some.
+        masks[k] = (k % 2 == 0) ? sm.Next() & valid : sm.Next();
+        const uint64_t pick = sm.Next() % 4;
+        deltas[k] = pick == 0   ? 1
+                    : pick == 1 ? ~0ULL  // -1
+                    : pick == 2 ? 0
+                                : sm.Next();
+      }
+      std::vector<uint64_t> expected = cells;
+      const int64_t expected_change =
+          portable(expected.data(), expected.data() + kLevels, s,
+                   levels.data(), masks.data(), deltas.data(), kUpdates);
+      const int64_t change = fn(cells.data(), cells.data() + kLevels, s,
+                                levels.data(), masks.data(), deltas.data(),
+                                kUpdates);
+      EXPECT_EQ(cells, expected)
+          << "kernel " << static_cast<int>(kernel) << " s=" << s;
+      EXPECT_EQ(change, expected_change)
+          << "kernel " << static_cast<int>(kernel) << " s=" << s;
+    }
+  }
+}
+
+TEST(MaskAddTest, CountersWrapModTwoToTheSixtyFour) {
+  // Two INT64_MAX deltas on one element: every touched counter wraps to
+  // 2 * (2^63 - 1) mod 2^64 = -2, identically on the scalar (s > 64) and
+  // the SIMD (s <= 64) paths, with no signed overflow on the way.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  for (int s : {kFallbackS, 32}) {
+    const auto seed = std::make_shared<const SketchSeed>(ParamsWithS(s), 5);
+    TwoLevelHashSketch sketch(seed);
+    TwoLevelHashSketch reference(seed);
+    constexpr uint64_t kElement = 12345;
+    for (int i = 0; i < 2; ++i) {
+      sketch.Update(kElement, kMax);
+      reference.UpdateScalar(kElement, kMax);
+    }
+    ExpectSameCounts(sketch, reference, s);
+    const int level = seed->Level(kElement);
+    EXPECT_EQ(sketch.LevelTotal(level), -2) << "s=" << s;
+    for (int j = 0; j < s; ++j) {
+      const int bit = seed->second_level(j)(kElement);
+      EXPECT_EQ(sketch.Count(level, j, bit), -2) << "s=" << s << " j=" << j;
+      EXPECT_EQ(sketch.Count(level, j, 1 - bit), 0) << "s=" << s;
+    }
+    sketch.Update(kElement, 2);
+    EXPECT_TRUE(sketch.Empty()) << "s=" << s;
+    EXPECT_EQ(sketch.NonzeroCells(), 0);
   }
 }
 

@@ -1,6 +1,9 @@
 // Tests for varint primitives and the compact sketch wire encoding.
 
+#include <cstring>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -187,6 +190,52 @@ TEST_F(CompactEncodingTest, RejectsCorruptRunLengths) {
     std::string truncated = bytes.substr(0, cut);
     size_t offset = 0;
     EXPECT_EQ(TwoLevelHashSketch::Deserialize(truncated, &offset), nullptr);
+  }
+}
+
+/// Compact token stream of the logical cells `cells` behind `header`,
+/// written with the encoder's rules (maximal zero runs, zigzag values).
+std::string EncodeCompactCells(const std::string& header,
+                               const std::vector<int64_t>& cells) {
+  std::string out = header;
+  size_t i = 0;
+  while (i < cells.size()) {
+    if (cells[i] == 0) {
+      size_t run = 1;
+      while (i + run < cells.size() && cells[i + run] == 0) ++run;
+      AppendVarint(&out, 0);
+      AppendVarint(&out, run);
+      i += run;
+    } else {
+      AppendVarint(&out, ZigZagEncode(cells[i]));
+      ++i;
+    }
+  }
+  return out;
+}
+
+TEST_F(CompactEncodingTest, RefusesPairsThatMissTheirLevelTotal) {
+  const TwoLevelHashSketch sketch = MakeSketch(300, 33);
+  std::string fixed, compact;
+  sketch.SerializeTo(&fixed);
+  sketch.SerializeCompactTo(&compact);
+  const size_t num_cells = 2 * 32 * 32;
+  const size_t header_bytes = fixed.size() - num_cells * sizeof(int64_t);
+  std::vector<int64_t> cells(num_cells);
+  std::memcpy(cells.data(), fixed.data() + header_bytes,
+              num_cells * sizeof(int64_t));
+  const std::string header = compact.substr(0, header_bytes);
+  ASSERT_EQ(EncodeCompactCells(header, cells), compact);
+  // Any single logical cell off by one — a nonzero cell or a zero cell
+  // inside a run — leaves its pair summing to something else than the
+  // level total, and the encoding is refused.
+  for (size_t cell = 0; cell < num_cells; cell += 5) {
+    std::vector<int64_t> tampered = cells;
+    ++tampered[cell];
+    const std::string bytes = EncodeCompactCells(header, tampered);
+    size_t offset = 0;
+    EXPECT_EQ(TwoLevelHashSketch::Deserialize(bytes, &offset), nullptr)
+        << "cell " << cell;
   }
 }
 

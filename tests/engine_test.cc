@@ -146,8 +146,8 @@ TEST(StreamEngineTest, SynopsisBytesAccounting) {
   StreamEngine engine(TestOptions(4, false));
   EXPECT_EQ(engine.SynopsisBytes(), 0u);
   engine.RegisterStream("A");
-  // 4 copies x 24 levels x 16 pairs x 2 cells x 8 bytes.
-  EXPECT_EQ(engine.SynopsisBytes(), 4u * 24u * 16u * 2u * 8u);
+  // 4 copies x 24 levels x (1 total + 16 ones counters) x 8 bytes.
+  EXPECT_EQ(engine.SynopsisBytes(), 4u * 24u * (16u + 1u) * 8u);
 }
 
 TEST(StreamEngineTest, AnswersCarryConfidenceIntervals) {

@@ -232,6 +232,45 @@ TEST(SketchServerTest, EndToEndLoopbackWithSummaryAndQueries) {
   EXPECT_EQ(server.stats().updates_applied, updates.size());
 }
 
+TEST(SketchServerTest, TamperedSummaryIsRejectedAndLeavesNoTrace) {
+  SketchServer server(ServerOptions(/*copies=*/16));
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  auto client = MustConnect(server);
+  ASSERT_NE(client, nullptr);
+
+  Site site("site-1", TestParams(), 16, kMasterSeed);
+  site.ObserveStream("C");
+  for (uint64_t e = 0; e < 500; ++e) site.Ingest("C", e * 2654435761ULL, 1);
+  const std::string summary = site.EncodeSummary(/*compact=*/false);
+  // Flip the low bit of the first counter cell of the first sketch copy
+  // (right after its fixed-width "SK21" header): that pair no longer sums
+  // to its level total, which no update stream can produce.
+  const size_t magic = summary.find("12KS");
+  ASSERT_NE(magic, std::string::npos);
+  std::string tampered = summary;
+  tampered[magic + 25] ^= 1;
+
+  const SketchClient::Status rejected = client->PushSummary(tampered);
+  EXPECT_FALSE(rejected.ok);
+  EXPECT_EQ(rejected.code, WireError::kRejectedSummary) << rejected.error;
+  EXPECT_EQ(server.stats().summaries_rejected, 1u);
+  EXPECT_EQ(server.stats().summaries_accepted, 0u);
+
+  // Nothing of the refused summary was kept: the untampered one is a
+  // first arrival, not a replacement.
+  const SketchClient::Status accepted = client->PushSummary(summary);
+  ASSERT_TRUE(accepted.ok) << accepted.error;
+  EXPECT_EQ(accepted.accepted, 1u);
+  EXPECT_FALSE(accepted.replaced);
+  const QueryResultInfo answer = client->Query("C");
+  ASSERT_TRUE(answer.ok) << answer.error;
+  EXPECT_GT(answer.estimate, 0.0);
+
+  ASSERT_TRUE(client->Shutdown().ok);
+  server.Wait();
+}
+
 // --- Served cold answers ≡ in-process plans ------------------------------
 
 TEST(SketchServerTest, ColdAnswerAfterNetZeroPushMatchesInProcessPlan) {

@@ -3,7 +3,9 @@
 // the SketchSeed / SketchFamily / SketchBank plumbing.
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -308,6 +310,117 @@ TEST(TwoLevelHashSketchSerializationTest, RejectsCorruptedInput) {
   // Empty.
   offset = 0;
   EXPECT_EQ(TwoLevelHashSketch::Deserialize("", &offset), nullptr);
+}
+
+TEST(TwoLevelHashSketchSerializationTest, RefusesPairsThatMissTheirLevelTotal) {
+  // The two cells of every pair sum to the level total; a fixed-width
+  // encoding with any single cell changed breaks that for some pair of
+  // its level (s >= 2) and is refused, not decoded into a synopsis no
+  // stream can produce.
+  TwoLevelHashSketch sketch(MakeSeed(37));
+  for (uint64_t e = 0; e < 300; ++e) sketch.Update(e * 7919, 1 + (e % 2));
+  std::string bytes;
+  sketch.SerializeTo(&bytes);
+  const size_t cells = 2 * 24 * 16;
+  const size_t header = bytes.size() - cells * sizeof(int64_t);
+  for (size_t cell = 0; cell < cells; ++cell) {
+    std::string tampered = bytes;
+    tampered[header + cell * sizeof(int64_t)] ^= 1;
+    size_t offset = 0;
+    EXPECT_EQ(TwoLevelHashSketch::Deserialize(tampered, &offset), nullptr)
+        << "cell " << cell;
+  }
+  // Changing both cells of a pair by opposite amounts keeps its sum: a
+  // legal counter array, decoded (the check is exactly the pair sums).
+  std::string rebalanced = bytes;
+  int64_t bit0 = 0, bit1 = 0;
+  std::memcpy(&bit0, rebalanced.data() + header, sizeof(bit0));
+  std::memcpy(&bit1, rebalanced.data() + header + 8, sizeof(bit1));
+  ++bit0;
+  --bit1;
+  std::memcpy(rebalanced.data() + header, &bit0, sizeof(bit0));
+  std::memcpy(rebalanced.data() + header + 8, &bit1, sizeof(bit1));
+  size_t offset = 0;
+  const auto decoded = TwoLevelHashSketch::Deserialize(rebalanced, &offset);
+  ASSERT_NE(decoded, nullptr);
+  EXPECT_EQ(decoded->Count(0, 0, 0), sketch.Count(0, 0, 0) + 1);
+  EXPECT_EQ(decoded->Count(0, 0, 1), sketch.Count(0, 0, 1) - 1);
+}
+
+// Both encodings are persisted (WAL checkpoints, SSN snapshots) and
+// shipped (site summaries, cluster pulls), so their bytes are pinned
+// independently of how the counters are stored in memory: each case
+// below is a fixed seed and update stream whose encodings were captured
+// once and must never change.
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<uint8_t>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+/// Mixed +/- stream with repeated elements (cells cancel back to zero),
+/// net-negative elements and a few +/-2^40 deltas (10-byte varints).
+TwoLevelHashSketch GoldenSketch(int s, uint64_t seed_value) {
+  SketchParams params = SmallParams();
+  params.num_second_level = s;
+  TwoLevelHashSketch sketch(MakeSeed(seed_value, params));
+  SplitMix64 sm(seed_value * 31 + 7);
+  for (int i = 0; i < 2000; ++i) {
+    const uint64_t element = sm.Next() % 700;
+    int64_t delta = static_cast<int64_t>(sm.Next() % 5) - 2;
+    if (i % 97 == 0) {
+      delta = (i % 2 == 0) ? (int64_t{1} << 40) : -(int64_t{1} << 40);
+    }
+    sketch.Update(element, delta);
+  }
+  return sketch;
+}
+
+struct GoldenEncoding {
+  int s;
+  uint64_t seed_value;
+  size_t fixed_size;
+  uint64_t fixed_fnv;
+  size_t compact_size;
+  uint64_t compact_fnv;
+};
+
+TEST(TwoLevelHashSketchSerializationTest, EncodingsMatchGoldenBytes) {
+  const GoldenEncoding kGolden[] = {
+      {16, 101, 6169, 0x1dbf02e4c3ad39daULL, 913, 0x302f6e6d655083bcULL},
+      {32, 102, 12313, 0xd9feda530630dc55ULL, 1534, 0x969f2090389562deULL},
+      {65, 103, 24985, 0xc029909bda6cbe82ULL, 3906, 0x115ec826338fc490ULL},
+  };
+  for (const GoldenEncoding& golden : kGolden) {
+    const TwoLevelHashSketch sketch =
+        GoldenSketch(golden.s, golden.seed_value);
+    std::string fixed, compact;
+    sketch.SerializeTo(&fixed);
+    sketch.SerializeCompactTo(&compact);
+    EXPECT_EQ(fixed.size(), golden.fixed_size) << "s=" << golden.s;
+    EXPECT_EQ(Fnv1a64(fixed), golden.fixed_fnv)
+        << "s=" << golden.s << std::hex << " fnv=0x" << Fnv1a64(fixed);
+    EXPECT_EQ(compact.size(), golden.compact_size) << "s=" << golden.s;
+    EXPECT_EQ(Fnv1a64(compact), golden.compact_fnv)
+        << "s=" << golden.s << std::hex << " fnv=0x" << Fnv1a64(compact);
+    // Decoding either encoding and re-encoding reproduces the bytes.
+    for (const std::string* bytes : {&fixed, &compact}) {
+      size_t offset = 0;
+      const auto decoded = TwoLevelHashSketch::Deserialize(*bytes, &offset);
+      ASSERT_NE(decoded, nullptr) << "s=" << golden.s;
+      EXPECT_TRUE(*decoded == sketch) << "s=" << golden.s;
+      std::string again;
+      if (bytes == &fixed) {
+        decoded->SerializeTo(&again);
+      } else {
+        decoded->SerializeCompactTo(&again);
+      }
+      EXPECT_EQ(again, *bytes) << "s=" << golden.s;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
